@@ -20,6 +20,7 @@ from .errors import Inconclusive, NotCoprime
 from .ideals import Cycle, ExperimentParams, ReducedIdeal, closest_ideal, cycle_from, principal_cycle
 from .lattice import RealLattice, reduce_mod
 from .numfield import QuadraticField
+from .qsim import RowRunSampler
 from .unitgroup import UnitGroupResult, run_unit_group
 
 _PEAK_TOL = 24          # max distance (in c units) from the nearest dual row peak
@@ -163,71 +164,25 @@ class PairHider:
         return rows, starts, ends, clipped
 
 
-class PairSampler:
-    """Exact two-stage sampler for one label of the pair hiding function."""
+class PairSampler(RowRunSampler):
+    """Exact two-stage sampler for one label of the pair hiding function,
+    with one run per translate block of every row in the label's class."""
 
     def __init__(self, hider: PairHider, key):
         self.hider = hider
         self.key = key
-        self.params = hider.params
         rows, s, e, clipped = hider.row_blocks(key)
         lengths = np.maximum(e - s + 1, 0)
-        self.rows, self.starts, self.ends = rows, s, e
-        self.lengths = lengths
+        super().__init__(hider.params, rows, s, lengths)
         self.clipped = clipped
-        self.t_row = lengths.sum(axis=1)
-        self.total = int(self.t_row.sum())
         self.max_halfwidth = float((lengths.max() - 1) / 2) if self.total else 0.0
-        self._cum_rows = (np.cumsum(self.t_row) / self.total) if self.total else None
 
     def beta(self) -> float:
         return self.max_halfwidth / self.params.n_param
 
-    def draw_row(self, rng: np.random.Generator) -> int:
-        ridx = int(np.searchsorted(self._cum_rows, rng.random()))
-        return min(ridx, len(self.rows) - 1)
-
     def complete_blocks_on(self, row_idx: int) -> int:
         mask = self.lengths[row_idx] > 0
         return int((mask & ~self.clipped[row_idx]).sum())
-
-    def sample(self, rng: np.random.Generator, row_idx: int) -> tuple[int, int]:
-        qk = self.params.qk
-        # stage 1: c2 from the drawn row's own spectrum
-        ind = np.zeros(qk, dtype=np.float64)
-        for s, e in zip(self.starts[row_idx], self.ends[row_idx]):
-            if e >= s:
-                ind[s:e + 1] = 1.0
-        amp = np.fft.ifft(ind) * qk
-        p2 = amp.real ** 2 + amp.imag ** 2
-        c2 = _draw_index(p2, rng)
-        # stage 2: c1 from the conditional law given c2
-        y = self.row_transforms(c2)
-        z = np.zeros(qk, dtype=np.complex128)
-        z[self.rows] = y
-        amp1 = np.fft.ifft(z) * qk
-        p1 = amp1.real ** 2 + amp1.imag ** 2
-        c1 = _draw_index(p1, rng)
-        return c1, c2
-
-    def row_transforms(self, c2: int) -> np.ndarray:
-        """R_a(c2) = sum over the row's blocks of the geometric phase sum."""
-        qk = self.params.qk
-        if c2 % qk == 0:
-            return self.t_row.astype(np.complex128)
-        w = 2.0 * np.pi * c2 / qk
-        phase = np.exp(1j * w * self.starts)
-        num = np.exp(1j * w * self.lengths) - 1.0
-        den = np.exp(1j * w) - 1.0
-        geo = num / den
-        geo[self.lengths == 0] = 0.0
-        return (phase * geo).sum(axis=1)
-
-
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u)), len(weights) - 1)
 
 
 def _fold(theta: float, r: float) -> float:
@@ -267,7 +222,9 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
 
     An Inconclusive unit stage (single-label hiding functions carry no
     period information) switches to a degenerate mode: no index structure is
-    assumed and only the trivial first-axis period can propose a generator."""
+    assumed and only the trivial first-axis period can propose a generator.
+
+    `workers` reaches only the unit stage; the pair sampling loop is serial."""
     precision = instance.params.precision if instance.params else 96
     unit_params = instance.unit_params or ExperimentParams(
         rank=1, n_param=64, q=2 ** 16, k=3, precision=precision)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .ideals import Cycle, ExperimentParams, ReducedIdeal
 
 _DENSE_CAP = 2 ** 24
 _NORMALISATION_TOL = 2.0 ** -30
+_BLOCK = 2 ** 16       # (row, run, c) cells per block of the run-sum kernel
 
 
 def _centre_int(points: np.ndarray) -> np.ndarray:
@@ -262,10 +263,7 @@ class SpectrumDistribution:
         return float(self.probs[idx])
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        flat = self.probs.reshape(-1)
-        u = rng.random() * flat.sum()
-        pos = int(np.searchsorted(np.cumsum(flat), u))
-        pos = min(pos, flat.size - 1)
+        pos = draw_index(np.cumsum(self.probs.reshape(-1)), rng)
         return tuple(int(x) for x in np.unravel_index(pos, self.probs.shape))
 
     def nonzero_items(self, threshold: float = 2.0 ** -40):
@@ -298,58 +296,88 @@ def spectrum_probability(state: PreimageState, params: ExperimentParams,
     """Direct sparse summation of the same probabilities at selected c.
 
     Consecutive support runs are summed in closed form, so the cost is
-    (number of runs) x (number of c points) regardless of q^r."""
-    qk = params.qk
-    t = state.cardinality
-    cs = np.atleast_2d(np.asarray(c_points, dtype=np.int64))
-    if params.rank == 1:
-        starts, lengths = _runs_1d(state.points[:, 0])
-        amp = _run_sum(starts, lengths, cs[:, 0], qk)
-    elif params.rank == 2:
-        amp = np.zeros(len(cs), dtype=np.complex128)
-        pts = state.points[np.lexsort((state.points[:, 1], state.points[:, 0]))]
-        rows, row_start = np.unique(pts[:, 0], return_index=True)
-        bounds = np.append(row_start, len(pts))
-        for i, row in enumerate(rows):
-            seg = pts[bounds[i]:bounds[i + 1], 1]
-            starts, lengths = _runs_1d(seg)
-            rowamp = _run_sum(starts, lengths, cs[:, 1], qk)
-            amp += np.exp(2j * np.pi * (int(row) * cs[:, 0]) / qk) * rowamp
-    else:
+    (number of runs) x (distinct second coordinates of c) plus (rows) x
+    (number of c points), regardless of q^r."""
+    qk, r = params.qk, params.rank
+    if r > 2:
         raise DomainTooLarge("sparse path implemented for rank <= 2")
-    return (amp.real ** 2 + amp.imag ** 2) / (qk ** params.rank * t)
+    cs = np.mod(np.atleast_2d(np.asarray(c_points, dtype=np.int64)), qk)
+    points = state.points
+    if r == 1:
+        # a rank-1 support is the single row 0 of a rank-2 one, read at c1 = 0
+        points = np.c_[np.zeros_like(points), points]
+        cs = np.c_[np.zeros_like(cs), cs]
+    # per-row run sums at each distinct c2, then the row phases e(row*c1)
+    rows, starts, lengths = _row_runs(points)
+    c2s, inv = np.unique(cs[:, 1], return_inverse=True)
+    row_amp = _run_sum(starts, lengths, c2s, qk)
+    table = _phase_table(qk)
+    amp = np.empty(len(cs), dtype=np.complex128)
+    chunk = max(1, _BLOCK // len(rows))
+    for lo in range(0, len(cs), chunk):
+        sl = slice(lo, lo + chunk)
+        phase = table[(rows[:, None] * cs[None, sl, 0]) % qk]
+        amp[sl] = (phase * row_amp[:, inv[sl]]).sum(axis=0)
+    return (amp.real ** 2 + amp.imag ** 2) / (qk ** r * state.cardinality)
 
 
-def _runs_1d(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = np.sort(np.asarray(values, dtype=np.int64))
-    if len(v) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    breaks = np.where(np.diff(v) > 1)[0]
-    starts = v[np.r_[0, breaks + 1]]
-    ends = v[np.r_[breaks, len(v) - 1]]
-    return starts, ends - starts + 1
+def _row_runs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-2 support as a run table: distinct rows (first coordinate) and
+    per-row (start, length) runs along the second, shapes (R,), (R, m) x2,
+    padded with length-0 runs."""
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    new_run = np.r_[True, (np.diff(pts[:, 0]) != 0) | (np.diff(pts[:, 1]) != 1)]
+    first = np.flatnonzero(new_run)
+    rows, row_of_run, per_row = np.unique(pts[first, 0], return_inverse=True,
+                                          return_counts=True)
+    slot = np.arange(len(first)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    starts = np.zeros((len(rows), int(per_row.max())), dtype=np.int64)
+    lengths = np.zeros_like(starts)
+    starts[row_of_run, slot] = pts[first, 1]
+    lengths[row_of_run, slot] = np.diff(np.r_[first, len(pts)])
+    return rows, starts, lengths
+
+
+@lru_cache(maxsize=4)
+def _phase_table(qk: int) -> np.ndarray:
+    """T[k] = e(k) = exp(2*pi*i*k/qk) for k in [0, qk)."""
+    table = np.exp(2j * np.pi * np.arange(qk) / qk)
+    table.flags.writeable = False
+    return table
 
 
 def _run_sum(starts: np.ndarray, lengths: np.ndarray, cs: np.ndarray,
              qk: int) -> np.ndarray:
-    """sum over runs of e(start*c) * (e(len*c) - 1)/(e(c) - 1), e(x) =
-    exp(2*pi*i*x/qk)."""
-    out = np.zeros(len(cs), dtype=np.complex128)
-    chunk = max(1, 2 ** 22 // max(len(starts), 1))
-    for lo in range(0, len(cs), chunk):
-        c = cs[lo:lo + chunk].astype(np.float64)
-        phase = np.exp(2j * np.pi * np.outer(starts, c) / qk)
-        x = np.exp(2j * np.pi * c / qk)
-        num = np.exp(2j * np.pi * np.outer(lengths, c) / qk) - 1.0
-        den = x - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = np.where(np.abs(den) > 1e-12, num / den,
-                           lengths[:, None].astype(np.complex128))
-        exact = np.isclose(np.mod(c, qk), 0.0)
-        if exact.any():
-            geo[:, exact] = lengths[:, None]
-        out[lo:lo + chunk] = (phase * geo).sum(axis=0)
-    return out
+    """Per-row sums over runs of e(start*c) * (e(len*c) - 1)/(e(c) - 1), for
+    each c in cs: run tables of shape (R, m) and n values of c give (R, n).
+
+    Each run contributes e((start+len)*c) - e(start*c) over the common
+    denominator, with every phase read from the table at an exact integer
+    residue mod qk; c = 0 mod qk sums the lengths.  A length-0 run adds 0.
+    Work proceeds in blocks of about 2^16 (row, run, c) cells, which keeps
+    the temporaries in cache."""
+    table = _phase_table(qk)
+    ends = starts + lengths
+    c = np.mod(np.asarray(cs, dtype=np.int64), qk)
+    num = np.empty((len(starts), len(c)), dtype=np.complex128)
+    m = starts.shape[1]
+    nc = max(1, min(len(c), _BLOCK // m))
+    nr = max(1, _BLOCK // (m * nc))
+    for j in range(0, len(c), nc):
+        cc = c[j:j + nc]
+        for i in range(0, len(starts), nr):
+            s, e = starts[i:i + nr, :, None], ends[i:i + nr, :, None]
+            num[i:i + nr, j:j + nc] = (table[(e * cc) % qk]
+                                       - table[(s * cc) % qk]).sum(axis=1)
+    zero = c == 0
+    den = np.where(zero, 1.0, table[c] - 1.0)
+    return np.where(zero, lengths.sum(axis=1)[:, None], num / den)
+
+
+def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Categorical draw from cumulative weights: index of the first entry at
+    or above u * total, clamped to the last index."""
+    return min(int(np.searchsorted(cum, rng.random() * cum[-1])), cum.size - 1)
 
 
 def sample_outcome(dist: SpectrumDistribution,
@@ -358,52 +386,54 @@ def sample_outcome(dist: SpectrumDistribution,
     return dist.sample(rng)
 
 
-class TwoStageSampler:
-    """Exact outcome sampling for rank-2 supports without the dense grid.
+class RowRunSampler:
+    """Exact two-stage outcome sampling for a rank-2 support held as a run
+    table: `rows` (R,), and per-row runs `starts`, `lengths` (R, m) along the
+    second axis, padded with length-0 runs.
 
     The marginal of the second coordinate is the row-mass mixture of per-row
     spectra; conditioned on it, the first coordinate follows the transform
     of the per-row sums.  Together these reproduce the joint law of
-    qft_spectrum exactly, at O(rows + qk) per draw."""
+    qft_spectrum exactly without the dense grid.  A draw is `draw_row`, then
+    `sample` on that row (c2 from the row's spectrum, then c1)."""
 
-    def __init__(self, state: PreimageState, params: ExperimentParams):
+    def __init__(self, params: ExperimentParams, rows: np.ndarray,
+                 starts: np.ndarray, lengths: np.ndarray):
         if params.rank != 2:
             raise ValueError("two-stage sampling is for rank 2")
         self.params = params
-        pts = state.points[np.lexsort((state.points[:, 1], state.points[:, 0]))]
-        self.rows, starts = np.unique(pts[:, 0], return_index=True)
-        bounds = np.append(starts, len(pts))
-        self.row_runs = []
-        sizes = []
-        for i in range(len(self.rows)):
-            seg = pts[bounds[i]:bounds[i + 1], 1]
-            self.row_runs.append(_runs_1d(seg))
-            sizes.append(bounds[i + 1] - bounds[i])
-        self.row_mass = np.array(sizes, dtype=np.float64)
-        self._cum_rows = np.cumsum(self.row_mass / self.row_mass.sum())
+        self.rows, self.starts, self.lengths = rows, starts, lengths
+        self._cum_rows = np.cumsum(lengths.sum(axis=1))
+        self.total = int(self._cum_rows[-1])
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+    def draw_row(self, rng: np.random.Generator) -> int:
+        return draw_index(self._cum_rows, rng)
+
+    def sample(self, rng: np.random.Generator, row_idx: int) -> tuple[int, int]:
         qk = self.params.qk
-        ridx = min(int(np.searchsorted(self._cum_rows, rng.random())),
-                   len(self.rows) - 1)
-        starts, lengths = self.row_runs[ridx]
+        # stage 1: c2 from the drawn row's own spectrum
         ind = np.zeros(qk, dtype=np.float64)
-        for s, ln in zip(starts, lengths):
+        for s, ln in zip(self.starts[row_idx], self.lengths[row_idx]):
             ind[s:s + ln] = 1.0
         amp = np.fft.ifft(ind) * qk
-        p2 = amp.real ** 2 + amp.imag ** 2
-        cum2 = np.cumsum(p2)
-        c2 = min(int(np.searchsorted(cum2, rng.random() * cum2[-1])), qk - 1)
-        # conditional on c2: transform the per-row sums along the first axis
-        y = np.zeros(qk, dtype=np.complex128)
-        for i, row in enumerate(self.rows):
-            s, ln = self.row_runs[i]
-            y[row] = _run_sum(s, ln, np.array([c2]), qk)[0]
-        amp1 = np.fft.ifft(y) * qk
-        p1 = amp1.real ** 2 + amp1.imag ** 2
-        cum1 = np.cumsum(p1)
-        c1 = min(int(np.searchsorted(cum1, rng.random() * cum1[-1])), qk - 1)
+        c2 = draw_index(np.cumsum(amp.real ** 2 + amp.imag ** 2), rng)
+        # stage 2: c1 from the transform of the per-row sums at c2
+        z = np.zeros(qk, dtype=np.complex128)
+        z[self.rows] = self.row_transforms(c2)
+        amp1 = np.fft.ifft(z) * qk
+        c1 = draw_index(np.cumsum(amp1.real ** 2 + amp1.imag ** 2), rng)
         return c1, c2
+
+    def row_transforms(self, c2: int) -> np.ndarray:
+        """R_a(c2): every row's run sum at c2, shape (R,)."""
+        return _run_sum(self.starts, self.lengths, np.array([c2]), self.params.qk)[:, 0]
+
+
+class TwoStageSampler(RowRunSampler):
+    """Two-stage sampler over the points of a rank-2 preimage state."""
+
+    def __init__(self, state: PreimageState, params: ExperimentParams):
+        super().__init__(params, *_row_runs(state.points))
 
 
 def centred(c, qk: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Each trial measures one outcome of the period-finding subroutine on the
 hiding function; small outcomes are kept and mapped to dual-lattice
 candidates; a noise-aware basis recovery runs over the ordered candidate
 stream until it stabilises.  Dualising and dividing by N yields the hidden
-lattice; at rank one its single entry is the regulator and the fundamental
-unit is reconstructed and verified against the Pell equation."""
+lattice; at rank one its single entry estimates the regulator, from which
+the fundamental unit is reconstructed and verified against the Pell
+equation."""
 
 from __future__ import annotations
 
@@ -21,24 +22,25 @@ from .ideals import ExperimentParams, principal_cycle
 from .lattice import RealLattice, primal_from_dual, recover_basis
 from .numfield import _GUARD_BITS, QuadraticField
 from .qsim import (
+    _DENSE_CAP,
     CycleHider,
     TwoStageSampler,
     accept,
+    draw_index,
     dual_candidate,
     qft_spectrum,
     spectrum_probability,
     state_from_points,
 )
 
-_DENSE_CAP = 2 ** 24
-
 
 @dataclass
 class UnitGroupResult:
     """Recovered lattice plus run statistics.
 
-    At rank one `regulator` is the single basis entry and
-    `fundamental_unit` the verified Pell pair (x, y) with exp(R) = x+y*sqrt(D).
+    At rank one `fundamental_unit` is the verified Pell pair (x, y) and
+    `regulator` its log, R = log(x + y*sqrt(D)), at working precision; the
+    lattice's single basis entry is the sampled estimate it was rounded from.
     """
 
     lattice: RealLattice
@@ -94,11 +96,9 @@ def _trial_outcome(cache: _LabelCache, params: ExperimentParams,
     if state.complete_translates() < 2:
         return {"restart": True}
     if params.rank == 1:
-        u = rng.random() * sampler[-1]
-        c = np.array([min(int(np.searchsorted(sampler, u)), sampler.size - 1)],
-                     dtype=np.int64)
+        c = np.array([draw_index(sampler, rng)], dtype=np.int64)
     else:
-        c = np.array(sampler.sample(rng), dtype=np.int64)
+        c = np.array(sampler.sample(rng, sampler.draw_row(rng)), dtype=np.int64)
     beta = state.beta()
     ok = accept(c, params, beta)
     rec = {"restart": False, "accepted": ok, "beta": beta}
@@ -216,11 +216,13 @@ def run_unit_group(target, params: ExperimentParams, trials: int, seed: int,
     regulator = None
     unit = None
     if r == 1 and isinstance(target, QuadraticField):
-        regulator = float(lattice.basis[0, 0])
-        unit = _reconstruct_unit(target.d, regulator, params.precision)
+        estimate = float(lattice.basis[0, 0])
+        unit = _reconstruct_unit(target.d, estimate, params.precision)
         if unit is None:
             raise Inconclusive(
-                f"recovered regulator {regulator!r} fails unit verification")
+                f"recovered regulator {estimate!r} fails unit verification")
+        with mp.workprec(params.precision + _GUARD_BITS):
+            regulator = float(mp.log(unit[0] + unit[1] * mp.sqrt(target.d)))
     return UnitGroupResult(lattice=lattice, regulator=regulator,
                            fundamental_unit=unit, stats=stats)
 

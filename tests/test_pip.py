@@ -19,7 +19,7 @@ from regulus.pip_solver import (
     verify_generator,
 )
 from regulus.unitgroup import run_unit_group
-from regulus.qsim import qft_spectrum, state_from_points
+from regulus.qsim import TwoStageSampler, qft_spectrum, state_from_points
 
 
 def _unit_result(d, seed=901):
@@ -78,12 +78,7 @@ def test_pair_sampler_matches_dense_small():
     key = (0, 0)
     sampler = PairSampler(hider, key)
     # materialise the same support and compare against the dense transform
-    pts = []
-    for ridx, row in enumerate(sampler.rows):
-        for s, e in zip(sampler.starts[ridx], sampler.ends[ridx]):
-            for v in range(s, e + 1):
-                pts.append((row, v))
-    state = state_from_points(key, np.array(pts), params, _GridStub(params))
+    state = state_from_points(key, _pair_points(sampler), params, _GridStub(params))
     dense = qft_spectrum(state, params).probs
     rng = np.random.default_rng(8)
     n = 40000
@@ -98,6 +93,39 @@ def test_pair_sampler_matches_dense_small():
         p = dense[c1, c2]
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(counts[c1, c2] / n - p) <= 5 * sigma
+
+
+def _pair_points(sampler):
+    """Every (row, v) point of a pair sampler's run table."""
+    pts = []
+    for ridx, row in enumerate(sampler.rows):
+        for s, ln in zip(sampler.starts[ridx], sampler.lengths[ridx]):
+            pts.extend((row, v) for v in range(s, s + ln))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("c2", [0, 70001, 55555])
+def test_pair_run_table_row_transforms(c2):
+    """Both run-table constructors of one D=13 pair label give the same row
+    transforms at the pip qk = 196608, matching a direct per-point sum of
+    exact-residue phases to 1e-12 relative."""
+    f = make_field(13)
+    params = ExperimentParams(rank=2, n_param=16, q=2 ** 6, k=3072)
+    hider = PairHider(f, ReducedIdeal(3, 1), params, 96)
+    pair = PairSampler(hider, (0, 0))
+    pts = _pair_points(pair)
+    points = TwoStageSampler(
+        state_from_points((0, 0), pts, params, _GridStub(params)), params)
+    qk = params.qk
+    assert qk == 196608
+    ref = np.zeros(qk, dtype=np.complex128)
+    np.add.at(ref, pts[:, 0], np.exp(2j * np.pi * ((pts[:, 1] * c2) % qk) / qk))
+    scale = np.abs(ref).max()
+    z = np.zeros((2, qk), dtype=np.complex128)
+    for i, sampler in enumerate((pair, points)):
+        z[i, sampler.rows] = sampler.row_transforms(c2)
+        assert np.abs(z[i] - ref).max() <= 1e-12 * scale
+    assert np.abs(z[0] - z[1]).max() <= 1e-14 * scale
 
 
 class _GridStub:

@@ -213,7 +213,7 @@ def test_two_stage_sampler_matches_dense_marginals():
     n = 60000
     counts = np.zeros_like(dense)
     for _ in range(n):
-        c1, c2 = ts.sample(rng)
+        c1, c2 = ts.sample(rng, ts.draw_row(rng))
         counts[c1, c2] += 1
     # compare the heaviest cells against the exact law
     heavy = np.argwhere(dense > 5e-3)

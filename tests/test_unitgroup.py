@@ -8,6 +8,7 @@ from regulus import (
     cf_regulator,
     make_field,
     make_synthetic,
+    pell_solution,
     reduce_mod,
 )
 from regulus.unitgroup import empirical_success, run_unit_group
@@ -128,3 +129,14 @@ def test_worker_counts_agree():
     assert len(regs) == 1
     stats = [r.stats for r in results]
     assert stats[0] == stats[1] == stats[2]
+
+
+@pytest.mark.parametrize("d", [53, 155])
+def test_regulator_is_log_of_verified_unit(d):
+    """The reported regulator is log(x + y*sqrt(D)) of the verified unit,
+    not the sampled estimate, which is more than 1e-3 off for these fields
+    at the acceptance parameters and seed."""
+    params = ExperimentParams(rank=1, n_param=64, q=2 ** 16, k=3)
+    res = run_unit_group(make_field(d), params, trials=200, seed=20260808)
+    assert res.fundamental_unit == pell_solution(d)
+    assert abs(res.regulator - float(cf_regulator(d))) <= 1e-3
