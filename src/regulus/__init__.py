@@ -37,7 +37,6 @@ from .ideals import (
     grid_label_index,
     is_reduced,
     principal_cycle,
-    relative_grid_label,
     rho_step,
     start_ideal,
 )
@@ -51,7 +50,6 @@ from .qsim import (
     collapse,
     dual_candidate,
     qft_spectrum,
-    sample_outcome,
     spectrum_probability,
 )
 from .oracle import (

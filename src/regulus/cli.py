@@ -195,9 +195,8 @@ def cmd_synth(parser, args) -> int:
                                     precision=96, workers=1))
     basis = args.scale * np.eye(args.rank)
     oracle = make_synthetic(basis, args.n, args.bucket, 2 ** args.log2q)
-    k = args.k if args.k else 3 * args.rank
     params = ExperimentParams(rank=args.rank, n_param=args.n, q=2 ** args.log2q,
-                              k=k, precision=args.precision)
+                              k=args.k, precision=args.precision)
     planted = RealLattice(oracle.effective)
     try:
         res = run_unit_group(oracle, params, trials=args.trials, seed=args.seed,
@@ -212,7 +211,7 @@ def cmd_synth(parser, args) -> int:
         "scale": args.scale,
         "n_param": args.n,
         "q": params.q,
-        "k": k,
+        "k": params.k,
         "bucket": args.bucket,
         "trials": res.stats["trials"],
         "restarts": res.stats["restarts"],

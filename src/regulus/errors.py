@@ -38,7 +38,9 @@ class DomainTooLarge(RegulusError):
 
 
 class Inconclusive(RegulusError):
-    """Sampling budget exhausted before the recovery stabilised."""
+    """No verified answer: the recovered basis never stabilised within the
+    sampling budget, the recovered unit failed verification, or principality
+    sampling found no usable outcome."""
 
 
 class NotCoprime(RegulusError):

@@ -115,12 +115,6 @@ class Cycle:
                 return d
         raise KeyError(f"{ideal} not on cycle")
 
-    def index_of(self, ideal: ReducedIdeal) -> int:
-        for n, (i, _) in enumerate(self.entries):
-            if i == ideal:
-                return n
-        raise KeyError(f"{ideal} not on cycle")
-
     def cell_bounds(self, index: int) -> tuple[float, float]:
         """Voronoi cell [lo, hi) of entry `index` in distance coordinates.
 
@@ -216,22 +210,6 @@ class ExperimentParams:
     def qk(self) -> int:
         return self.q * self.k
 
-    def check(self, oracle_det: float | None = None,
-              log_disc: float | None = None) -> list[str]:
-        """Soft sanity checks; returns human-readable warnings.
-
-        These mirror the sizing conventions (N well above (log disc)^r,
-        q well above det of the scaled lattice) but are advisory: several
-        required experiment configurations sit outside them."""
-        warnings = []
-        if log_disc is not None and self.n_param < log_disc ** self.rank:
-            warnings.append(
-                f"N={self.n_param} below (log disc)^r = {log_disc ** self.rank:.3g}")
-        if oracle_det is not None and self.q < 256 * oracle_det:
-            warnings.append(
-                f"q={self.q} below 2^8 * det = {256 * oracle_det:.3g}")
-        return warnings
-
 
 def grid_label_index(cycle: Cycle, n_param: int, v) -> np.ndarray:
     """Vectorised grid hiding function as entry indices: v -> nearest entry
@@ -243,15 +221,4 @@ def grid_label_index(cycle: Cycle, n_param: int, v) -> np.ndarray:
 def grid_label(cycle: Cycle, n_param: int, v: int) -> ReducedIdeal:
     """The grid hiding function: v in Z^1 -> reduced ideal nearest v/N."""
     idx = int(grid_label_index(cycle, n_param, np.array([v]))[0])
-    return cycle.entries[idx][0]
-
-
-def relative_grid_label(cycle: Cycle, n_param: int, a: int, v: int,
-                        theta: float) -> ReducedIdeal:
-    """Two-parameter hiding function: (a, v) -> ideal nearest a*theta - v/N.
-
-    theta must be the cycle distance of a reduced principal ideal; the walk
-    stays on the principal cycle."""
-    x = a * float(theta) - v / n_param
-    idx = int(cycle.label_indices(np.array([x]))[0])
     return cycle.entries[idx][0]

@@ -36,12 +36,6 @@ class RealLattice:
     def det(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
 
-    def condition(self) -> float:
-        return float(np.linalg.cond(self.basis))
-
-    def is_well_conditioned(self, bound: float) -> bool:
-        return self.condition() <= bound
-
     def canonical(self) -> "RealLattice":
         """Columns sign-normalised (largest-magnitude entry positive) and
         sorted lexicographically; a deterministic representative."""
@@ -147,8 +141,6 @@ def _consensus_tuple(arr: np.ndarray, rank: int, spread: float) -> np.ndarray:
     `spread` with bounded integer coefficients; ties prefer the coarser
     lattice (larger determinant), mirroring the rank-one gcd preference for
     the largest consistent generator."""
-    import itertools as _it
-
     n = len(arr)
     cap = 48 if rank >= 3 else 160
     idx = np.arange(n) if n <= cap else np.linspace(0, n - 1, cap).astype(int)

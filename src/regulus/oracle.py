@@ -155,21 +155,14 @@ class SyntheticOracle:
     def label_key(self, point) -> tuple[int, ...]:
         return tuple(int(x) for x in self.label_of(np.atleast_2d(point))[0])
 
-    def ideal_of(self, label) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.atleast_1d(label))
-
     def translate_coords(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return np.rint(pts @ self._inv.T).astype(np.int64)
 
-    def translate_vector(self, coords) -> np.ndarray:
-        j = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        return j @ self.effective.T
-
     def _window_box(self, coords, label):
         """Real bounding box of a translate's label window, per axis."""
         lab = np.asarray(label, dtype=np.float64)
-        centre = self.translate_vector(coords)
+        centre = np.atleast_2d(np.asarray(coords, dtype=np.float64)) @ self.effective.T
         lo = centre + lab * self.bucket - self.bucket / 2
         return lo, lo + self.bucket
 

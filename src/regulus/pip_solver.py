@@ -20,7 +20,7 @@ from .errors import Inconclusive, NotCoprime
 from .ideals import Cycle, ExperimentParams, ReducedIdeal, closest_ideal, cycle_from, principal_cycle
 from .lattice import RealLattice, reduce_mod
 from .numfield import QuadraticField
-from .qsim import RowRunSampler
+from .qsim import _MIN_COMPLETE_TRANSLATES, RowRunSampler, accept, centred
 from .unitgroup import UnitGroupResult, run_unit_group
 
 _PEAK_TOL = 24          # max distance (in c units) from the nearest dual row peak
@@ -267,16 +267,14 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
             samplers[key] = sampler
         samples_drawn += 1
         row_idx = sampler.draw_row(rng)
-        if sampler.complete_blocks_on(row_idx) < 2:
+        if sampler.complete_blocks_on(row_idx) < _MIN_COMPLETE_TRANSLATES:
             restarts += 1
             continue
         c1, c2 = sampler.sample(rng, row_idx)
-        beta = sampler.beta()
-        c2c = c2 - qk if c2 >= qk // 2 else c2
-        if not abs(c2c) < params.q / (5.0 * (beta + 1.0)):
+        if not accept(c2, params, sampler.beta()):
             continue
         accepted += 1
-        c1c = c1 - qk if c1 >= qk // 2 else c1
+        c1c, c2c = (int(x) for x in centred([c1, c2], qk))
         y = (-c1c / qk) % 1.0
         n_idx = int(round(c2c / spacing)) if spacing else 0
         if spacing and abs(c2c - n_idx * spacing) > _PEAK_TOL:

@@ -13,42 +13,57 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Protocol
 
 import numpy as np
 
 from .errors import DomainTooLarge, RestartRequired
-from .ideals import Cycle, ExperimentParams, ReducedIdeal
+from .ideals import Cycle, ExperimentParams
 
 _DENSE_CAP = 2 ** 24
 _NORMALISATION_TOL = 2.0 ** -30
 _BLOCK = 2 ** 16       # (row, run, c) cells per block of the run-sum kernel
+# a label with fewer complete translates inside the domain shows no period
+_MIN_COMPLETE_TRANSLATES = 2
+
+
+class Hider(Protocol):
+    """The grid hiding function as the pipeline reads it: labels, the
+    preimage of a label, and the lattice translate each preimage point
+    belongs to."""
+
+    def label_key(self, point) -> tuple[int, ...]: ...
+
+    def preimage_points(self, label) -> np.ndarray: ...
+
+    def translate_coords(self, points) -> np.ndarray: ...
+
+    def translate_clipped(self, coords, label) -> np.ndarray: ...
 
 
 def _centre_int(points: np.ndarray) -> np.ndarray:
-    """Set member minimising the summed Euclidean distance; ties lexicographic."""
+    """Set member minimising the summed Euclidean distance; ties (sums
+    within 1e-12 of the minimum) go to the lexicographically first."""
     pts = np.atleast_2d(points)
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
-    return pts[int(np.argmin(dists))].copy()
+    return pts[int(np.argmax(dists <= dists.min() + 1e-12))].copy()
 
 
 @dataclass
 class PreimageState:
     """Sparse support of the post-measurement state, grouped by translate.
 
-    `translate_vectors[t]` is the real lattice vector of translate t;
     `clipped[t]` marks translates whose ideal block was cut by the domain
-    edge.  Per-translate centres, half-widths and offsets are measured
-    lazily from the points."""
+    edge.  Per-translate centres and half-widths are measured lazily from
+    the points."""
 
     label: tuple
     points: np.ndarray            # (T, r) int64
     translate_ids: np.ndarray     # (T,) int64
-    translate_vectors: np.ndarray  # (m, r) float64
     clipped: np.ndarray           # (m,) bool
     params: ExperimentParams
-    ideal: ReducedIdeal | None = None
 
     @property
     def cardinality(self) -> int:
@@ -56,7 +71,7 @@ class PreimageState:
 
     @property
     def translate_count(self) -> int:
-        return len(self.translate_vectors)
+        return len(self.clipped)
 
     @cached_property
     def _by_translate(self) -> list[np.ndarray]:
@@ -90,20 +105,6 @@ class PreimageState:
         return out
 
     @cached_property
-    def rho(self) -> np.ndarray:
-        """Rounding residual of each translate vector, in [-1/2, 1/2]^r."""
-        return np.rint(self.translate_vectors) - self.translate_vectors
-
-    @cached_property
-    def centre_drift(self) -> np.ndarray:
-        """Measured centre displacement relative to the base translate after
-        subtracting the exact lattice vector (diagnostic for the cross-
-        translate variation bound)."""
-        base = int(np.argmin(self.clipped))   # first unclipped translate
-        rel = self.centres - self.centres[base]
-        lat = self.translate_vectors - self.translate_vectors[base]
-        return rel - lat
-
     def measured_radius(self) -> float:
         """Largest unclipped half-width, in grid units."""
         mask = ~self.clipped
@@ -115,7 +116,7 @@ class PreimageState:
     def beta(self) -> float:
         """Measured support radius in units of the 1/N grid (the scale of the
         quarter-log-discriminant bound)."""
-        return self.measured_radius() / self.params.n_param
+        return self.measured_radius / self.params.n_param
 
     def complete_translates(self) -> int:
         return int((~self.clipped).sum())
@@ -127,23 +128,20 @@ def _is_run(pts: np.ndarray) -> bool:
 
 
 def state_from_points(label, points: np.ndarray, params: ExperimentParams,
-                      hider, ideal: ReducedIdeal | None = None) -> PreimageState:
+                      hider: Hider) -> PreimageState:
     """Group a preimage point set by lattice translate."""
     points = np.atleast_2d(np.asarray(points, dtype=np.int64))
     if points.shape[0] and points.shape[1] != params.rank:
         points = points.reshape(-1, params.rank)
     coords = hider.translate_coords(points)
     uniq, ids = np.unique(coords, axis=0, return_inverse=True)
-    vectors = hider.translate_vector(uniq)
     clipped = hider.translate_clipped(uniq, label)
     return PreimageState(
         label=tuple(np.atleast_1d(label).tolist()),
         points=points,
         translate_ids=ids.astype(np.int64),
-        translate_vectors=np.atleast_2d(vectors),
         clipped=np.asarray(clipped, dtype=bool),
         params=params,
-        ideal=ideal,
     )
 
 
@@ -167,19 +165,12 @@ class CycleHider:
     def label_key(self, point) -> tuple[int, ...]:
         return (int(self.label_of(np.atleast_2d(point))[0, 0]),)
 
-    def ideal_of(self, label) -> ReducedIdeal:
-        return self.cycle.entries[int(np.atleast_1d(label)[0])][0]
-
     def translate_coords(self, points) -> np.ndarray:
         v = np.atleast_2d(np.asarray(points))[:, 0].astype(np.float64)
         idx = self.label_of(points)[:, 0]
         delta = self._deltas[idx]
         j = np.rint((v / self.params.n_param - delta) / self._r)
         return j.reshape(-1, 1).astype(np.int64)
-
-    def translate_vector(self, coords) -> np.ndarray:
-        j = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        return j * self.params.n_param * self._r
 
     def _block_interval(self, j: int, label_idx: int) -> tuple[int, int]:
         """Ideal (unclipped) integer endpoints of translate j's block."""
@@ -221,20 +212,19 @@ class CycleHider:
         return allv.reshape(-1, 1)
 
 
-def collapse(f, params: ExperimentParams, rng: np.random.Generator,
-             min_complete_translates: int = 2) -> PreimageState:
+def collapse(f: Hider, params: ExperimentParams,
+             rng: np.random.Generator) -> PreimageState:
     """Measure the function register: draw w uniformly, return the full
     preimage of its label, grouped by translate.
 
-    Raises RestartRequired when fewer than `min_complete_translates`
-    translates survive inside the domain untruncated, i.e. when no
-    periodicity is visible and the run must be restarted."""
+    Raises RestartRequired when fewer than two translates survive inside the
+    domain untruncated, i.e. when no periodicity is visible and the run must
+    be restarted."""
     w = rng.integers(0, params.q, size=params.rank)
     label = f.label_key(w)
     points = f.preimage_points(label)
-    ideal = f.ideal_of(label) if hasattr(f, "ideal_of") else None
-    state = state_from_points(label, points, params, f, ideal=ideal)
-    if state.complete_translates() < min_complete_translates:
+    state = state_from_points(label, points, params, f)
+    if state.complete_translates() < _MIN_COMPLETE_TRANSLATES:
         raise RestartRequired(
             f"label {label}: {state.complete_translates()} complete translates")
     return state
@@ -380,12 +370,6 @@ def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(cum, rng.random() * cum[-1])), cum.size - 1)
 
 
-def sample_outcome(dist: SpectrumDistribution,
-                   rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one measurement outcome c with probability P(c)."""
-    return dist.sample(rng)
-
-
 class RowRunSampler:
     """Exact two-stage outcome sampling for a rank-2 support held as a run
     table: `rows` (R,), and per-row runs `starts`, `lengths` (R, m) along the
@@ -442,14 +426,20 @@ def centred(c, qk: int) -> np.ndarray:
     return np.where(arr >= qk // 2, arr - qk, arr)
 
 
+def acceptance_bound(params: ExperimentParams, beta: float) -> float:
+    """The acceptance cut q/(5(beta+1)) on centred outcomes."""
+    return params.q / (5.0 * (beta + 1.0))
+
+
 def accept(c, params: ExperimentParams, beta: float) -> bool:
-    """Keep outcomes with centred infinity norm strictly below q/(5(beta+1)).
+    """Keep outcomes with centred infinity norm strictly below
+    `acceptance_bound`.
 
     beta is the measured support radius in grid units (1/N of the raw
     integer half-width); for translate-structured supports the kept
     outcomes satisfy dist(c/qk, dual lattice) <= 1/(2qk) per coordinate."""
     cc = centred(c, params.qk)
-    return bool(np.max(np.abs(cc)) < params.q / (5.0 * (beta + 1.0)))
+    return bool(np.max(np.abs(cc)) < acceptance_bound(params, beta))
 
 
 def dual_candidate(c, params: ExperimentParams) -> np.ndarray:

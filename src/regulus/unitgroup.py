@@ -23,9 +23,12 @@ from .lattice import RealLattice, primal_from_dual, recover_basis
 from .numfield import _GUARD_BITS, QuadraticField
 from .qsim import (
     _DENSE_CAP,
+    _MIN_COMPLETE_TRANSLATES,
     CycleHider,
+    Hider,
     TwoStageSampler,
     accept,
+    acceptance_bound,
     draw_index,
     dual_candidate,
     qft_spectrum,
@@ -49,7 +52,7 @@ class UnitGroupResult:
     stats: dict
 
 
-def _hider_for(target, params: ExperimentParams):
+def _hider_for(target, params: ExperimentParams) -> Hider:
     if isinstance(target, QuadraticField):
         cycle = principal_cycle(target, params.precision)
         return CycleHider(cycle, params)
@@ -62,7 +65,7 @@ class _LabelCache:
     Rank one keeps the full cumulative spectrum (few labels, one axis);
     rank two uses the exact two-stage sampler, which needs no dense grid."""
 
-    def __init__(self, hider, params: ExperimentParams):
+    def __init__(self, hider: Hider, params: ExperimentParams):
         self.hider = hider
         self.params = params
         self._lock = threading.Lock()
@@ -73,8 +76,7 @@ class _LabelCache:
             if key in self._cache:
                 return self._cache[key]
         points = self.hider.preimage_points(key)
-        ideal = self.hider.ideal_of(key) if hasattr(self.hider, "ideal_of") else None
-        state = state_from_points(key, points, self.params, self.hider, ideal=ideal)
+        state = state_from_points(key, points, self.params, self.hider)
         if self.params.rank == 1:
             dist = qft_spectrum(state, self.params)
             sampler = np.cumsum(dist.probs.reshape(-1))
@@ -93,7 +95,7 @@ def _trial_outcome(cache: _LabelCache, params: ExperimentParams,
     w = rng.integers(0, params.q, size=params.rank)
     key = cache.hider.label_key(w)
     state, sampler = cache.get(key)
-    if state.complete_translates() < 2:
+    if state.complete_translates() < _MIN_COMPLETE_TRANSLATES:
         return {"restart": True}
     if params.rank == 1:
         c = np.array([draw_index(sampler, rng)], dtype=np.int64)
@@ -277,7 +279,7 @@ def empirical_success(target, params: ExperimentParams,
         weight = state.cardinality / params.q ** params.rank
         total_weight += weight
         beta = state.beta()
-        bound = params.q / (5.0 * (beta + 1.0))
+        bound = acceptance_bound(params, beta)
         c_stars = []
         seen = set()
         for n_star in _dual_points_in_box(dual, bound / params.qk + 2.0 / params.qk):

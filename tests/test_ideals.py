@@ -15,7 +15,6 @@ from regulus import (
     is_reduced,
     make_field,
     principal_cycle,
-    relative_grid_label,
     rho_step,
 )
 
@@ -134,15 +133,6 @@ def test_minima_spacing_bounds():
             assert 1 <= count <= upper
 
 
-def test_relative_grid_label_examples(cycle13):
-    n = 64
-    theta = float(cycle13.entries[2][1])
-    assert relative_grid_label(cycle13, n, 0, 0, theta) == ReducedIdeal(3, 1)
-    assert relative_grid_label(cycle13, n, 1, 0, theta) == cycle13.entries[2][0]
-    v = round(n * theta)
-    assert relative_grid_label(cycle13, n, 1, v, theta) == ReducedIdeal(3, 1)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ExperimentParams(rank=1, n_param=48, q=2 ** 10)
@@ -151,8 +141,6 @@ def test_params_validation():
     p = ExperimentParams(rank=2, n_param=4, q=256)
     assert p.k == 6          # default zero-fill is 3r
     assert p.qk == 1536
-    warnings = p.check(oracle_det=4096.0, log_disc=3.0)
-    assert any("2^8" in w for w in warnings)
 
 
 def test_is_reduced_enumeration_matches_inequalities():

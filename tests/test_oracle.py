@@ -20,6 +20,7 @@ from regulus import (
     principal_cycle,
     reduced_ideals,
 )
+from regulus.qsim import state_from_points
 
 
 def test_cf_regulator_examples():
@@ -133,4 +134,24 @@ def test_synthetic_lemma_geometry_bounds():
     st = exhaustive_preimage(oracle, params, (1, 1))
     widths = st.half_widths[~st.clipped]
     assert widths.max() - widths.min() <= 2.0
-    assert np.abs(st.rho).max() <= 0.5
+
+
+def _centres_match_oracle(hider, params, labels):
+    for label in labels:
+        state = state_from_points(label, hider.preimage_points(label), params, hider)
+        for t in range(state.translate_count):
+            pts = state.points[state.translate_ids == t]
+            assert tuple(state.centres[t].astype(int)) == centre(pts), (label, t)
+
+
+def test_preimage_centres_match_oracle_centre(cycle13, params13):
+    """Every translate's measured centre is the oracle's sum-of-distances
+    minimiser, lexicographic ties included."""
+    synth = make_synthetic(16.0 * np.eye(2), n_param=4, bucket=5, q=256)
+    _centres_match_oracle(synth, ExperimentParams(rank=2, n_param=4, q=256, k=6),
+                          [(0, 0), (0, 1), (1, 1)])
+    bucket = make_synthetic([[8.0]], n_param=1, bucket=3, q=64)
+    _centres_match_oracle(bucket, ExperimentParams(rank=1, n_param=1, q=64, k=1),
+                          [(-1,), (0,), (1,)])
+    _centres_match_oracle(CycleHider(cycle13, params13), params13,
+                          [(i,) for i in range(len(cycle13))])

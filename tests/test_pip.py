@@ -57,6 +57,20 @@ def test_pair_hider_principal_label_structure(field13, cycle13):
     assert hider.ideal_of(key) in cycle13.ideals
 
 
+def test_pair_hider_label_key_examples(field13, cycle13):
+    """(a, v) is labelled by the ideal nearest a*theta - v/N."""
+    params = ExperimentParams(rank=2, n_param=64, q=2 ** 12, k=6)
+    ideal, theta = cycle13.entries[2]
+    hider = PairHider(field13, ideal, params, 96)
+
+    def label(a, v):
+        return hider.ideal_of(hider.label_key(np.array([a, v])))
+
+    assert label(0, 0) == ReducedIdeal(3, 1)
+    assert label(1, 0) == ideal
+    assert label(1, round(params.n_param * float(theta))) == ReducedIdeal(3, 1)
+
+
 def test_pair_hider_nonprincipal_class_gating():
     f10 = make_field(10)
     hider = PairHider(f10, ReducedIdeal(1, 3),
@@ -136,9 +150,6 @@ class _GridStub:
 
     def translate_coords(self, points):
         return np.zeros((len(points), 2), dtype=np.int64)
-
-    def translate_vector(self, coords):
-        return np.zeros((len(np.atleast_2d(coords)), 2))
 
     def translate_clipped(self, coords, label):
         return np.zeros(len(np.atleast_2d(coords)), dtype=bool)

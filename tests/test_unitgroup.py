@@ -34,7 +34,6 @@ def test_result_invariants(result13):
     res, params = result13
     x, y = res.fundamental_unit
     assert x * x - 13 * y * y in (1, -1)
-    assert res.lattice.is_well_conditioned(10.0)
     s = res.stats
     assert s["trials"] == 200
     assert 0 < s["accepted"] <= 200
