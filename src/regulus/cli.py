@@ -2,8 +2,9 @@
 
 Subcommands: units, pip, spectrum, probe-f, oracle {regulator|cycle|
 nonprincipal}, synth.  All flags are long-form; an optional key=value config
-file supplies defaults that explicit flags override.  A fixed seed makes
-every output byte-identical across reruns and worker counts."""
+file supplies defaults that explicit flags override.  Trials run serially,
+and a fixed seed makes every output byte-identical across reruns;
+`units --workers` is still accepted and has no effect."""
 
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ def cmd_units(parser, args) -> int:
 
 
 def cmd_pip(parser, args) -> int:
-    args = _apply_config(args, dict(trials=48, seed=0, precision=96, workers=1))
+    args = _apply_config(args, dict(trials=48, seed=0, precision=96))
     field = _field_or_error(parser, args.d)
     ideal = ReducedIdeal(args.p, args.q_coeff)
     if not is_reduced(field, ideal):
@@ -107,8 +108,7 @@ def cmd_pip(parser, args) -> int:
                      f"reduced ideal of D={args.d}")
     inst = PipInstance(field=field, ideal=ideal)
     try:
-        res = run_pip(inst, trials=args.trials, seed=args.seed,
-                      workers=args.workers)
+        res = run_pip(inst, trials=args.trials, seed=args.seed)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
@@ -192,7 +192,7 @@ def cmd_oracle(parser, args) -> int:
 def cmd_synth(parser, args) -> int:
     args = _apply_config(args, dict(rank=2, scale=16.0, n=4, bucket=5,
                                     log2q=8, k=0, trials=4096, seed=0,
-                                    precision=96, workers=1))
+                                    precision=96))
     basis = args.scale * np.eye(args.rank)
     oracle = make_synthetic(basis, args.n, args.bucket, 2 ** args.log2q)
     params = ExperimentParams(rank=args.rank, n_param=args.n, q=2 ** args.log2q,
@@ -200,7 +200,7 @@ def cmd_synth(parser, args) -> int:
     planted = RealLattice(oracle.effective)
     try:
         res = run_unit_group(oracle, params, trials=args.trials, seed=args.seed,
-                             workers=args.workers, oracle_lattice=planted)
+                             oracle_lattice=planted)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
@@ -231,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Period-finding experiments on real quadratic orders")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_workers=False):
+    def common(p):
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--precision", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        if with_workers:
-            p.add_argument("--workers", type=int, default=None)
 
     p_units = sub.add_parser("units", help="recover the regulator and unit")
     p_units.add_argument("--d", type=int, required=True)
@@ -245,14 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_units.add_argument("--log2q", type=int, default=None)
     p_units.add_argument("--k", type=int, default=None)
     p_units.add_argument("--trials", type=int, default=None)
-    common(p_units, with_workers=True)
+    p_units.add_argument("--workers", type=int, default=None,
+                         help="accepted for older scripts; trials run serially")
+    common(p_units)
 
     p_pip = sub.add_parser("pip", help="decide principality of a reduced ideal")
     p_pip.add_argument("--d", type=int, required=True)
     p_pip.add_argument("--p", type=int, required=True)
     p_pip.add_argument("--q-coeff", type=int, required=True, dest="q_coeff")
     p_pip.add_argument("--trials", type=int, default=None)
-    common(p_pip, with_workers=True)
+    common(p_pip)
 
     p_spec = sub.add_parser("spectrum", help="dump one collapse's exact spectrum")
     p_spec.add_argument("--d", type=int, required=True)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--log2q", type=int, default=None)
     p_synth.add_argument("--k", type=int, default=None)
     p_synth.add_argument("--trials", type=int, default=None)
-    common(p_synth, with_workers=True)
+    common(p_synth)
 
     return parser
 

@@ -25,6 +25,7 @@ from .unitgroup import UnitGroupResult, run_unit_group
 
 _PEAK_TOL = 24          # max distance (in c units) from the nearest dual row peak
 _VERIFY_REL_TOL = 1e-3
+_MAX_COPRIME_ATTEMPTS = 64
 
 
 @dataclass
@@ -80,8 +81,7 @@ def _bezout(c: int, d: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def verify_generator(field: QuadraticField, theta_prime: float,
-                     ideal: ReducedIdeal, cycle: Cycle,
+def verify_generator(theta_prime: float, ideal: ReducedIdeal, cycle: Cycle,
                      tolerance: float | None = None) -> bool:
     """Classical check: walking to distance theta' must land on `ideal`, and
     theta' must sit within tolerance of that entry's exact distance."""
@@ -175,7 +175,9 @@ class PairSampler(RowRunSampler):
         lengths = np.maximum(e - s + 1, 0)
         super().__init__(hider.params, rows, s, lengths)
         self.clipped = clipped
-        self.max_halfwidth = float((lengths.max() - 1) / 2) if self.total else 0.0
+        # a run of length L has its lower median at (L - 1) // 2 from its
+        # start, so its half-width is L // 2, as PreimageState measures it
+        self.max_halfwidth = float(lengths.max() // 2) if self.total else 0.0
 
     def beta(self) -> float:
         return self.max_halfwidth / self.params.n_param
@@ -224,7 +226,8 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     period information) switches to a degenerate mode: no index structure is
     assumed and only the trivial first-axis period can propose a generator.
 
-    `workers` reaches only the unit stage; the pair sampling loop is serial."""
+    Both stages run serially; `workers` is accepted for older callers and
+    has no effect."""
     precision = instance.params.precision if instance.params else 96
     unit_params = instance.unit_params or ExperimentParams(
         rank=1, n_param=64, q=2 ** 16, k=3, precision=precision)
@@ -234,8 +237,7 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     else:
         try:
             unit_result = run_unit_group(instance.field, unit_params,
-                                         trials=200, seed=seed ^ 0x5EED,
-                                         workers=workers)
+                                         trials=200, seed=seed ^ 0x5EED)
             r_hat = unit_result.regulator
         except Inconclusive:
             r_hat = None
@@ -252,7 +254,7 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     samplers: dict = {}
     qk = params.qk
     spacing = qk / (n * r_hat) if r_hat else None
-    accepted = restarts = samples_drawn = 0
+    accepted = restarts = 0
     y_by_n: dict[int, list[float]] = {}
     zero_axis_y: list[float] = []
 
@@ -265,7 +267,6 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
         if sampler is None:
             sampler = PairSampler(hider, key)
             samplers[key] = sampler
-        samples_drawn += 1
         row_idx = sampler.draw_row(rng)
         if sampler.complete_blocks_on(row_idx) < _MIN_COMPLETE_TRANSLATES:
             restarts += 1
@@ -300,28 +301,24 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     if scaled is None:
         scaled = RealLattice(np.array([[n * fold_r]]), params.precision)
 
+    # coprime candidate pairs in order, each Bezout-combined and verified
+    pairs = ((ci, cj) for a_i, ci in enumerate(candidates)
+             for cj in candidates[a_i:] if math.gcd(abs(ci[0]), abs(cj[0])) == 1)
     coprime_attempts = 0
     verdict, theta_out = "not_principal", None
-    for a_i in range(len(candidates)):
-        if verdict == "principal" or coprime_attempts >= 64:
+    for ci, cj in pairs:
+        if coprime_attempts == _MAX_COPRIME_ATTEMPTS:
             break
-        for b_i in range(a_i, len(candidates)):
-            ci, cj = candidates[a_i], candidates[b_i]
-            if math.gcd(abs(ci[0]), abs(cj[0])) != 1:
-                continue
-            coprime_attempts += 1
-            _, u = combine_coprime((ci[0], [ci[1]]), (cj[0], [cj[1]]))
-            u_red = reduce_mod(scaled, u)[0]
-            theta_prime = _fold(u_red / n, fold_r)
-            if verify_generator(instance.field, theta_prime, instance.ideal,
-                                hider.principal):
-                verdict, theta_out = "principal", float(theta_prime)
-                break
-            if coprime_attempts >= 64:
-                break
+        coprime_attempts += 1
+        _, u = combine_coprime((ci[0], [ci[1]]), (cj[0], [cj[1]]))
+        u_red = reduce_mod(scaled, u)[0]
+        theta_prime = _fold(u_red / n, fold_r)
+        if verify_generator(theta_prime, instance.ideal, hider.principal):
+            verdict, theta_out = "principal", float(theta_prime)
+            break
 
     diagnostics = {
-        "samples": samples_drawn,
+        "samples": trials,
         "accepted": accepted,
         "restarts": restarts,
         "distinct_indices": len(y_by_n),
@@ -331,5 +328,5 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     }
     if verdict == "not_principal" and coprime_attempts == 0 and not candidates:
         raise Inconclusive(
-            f"no usable outcome among {samples_drawn} samples ({accepted} accepted)")
+            f"no usable outcome among {trials} samples ({accepted} accepted)")
     return PipResult(verdict=verdict, theta=theta_out, diagnostics=diagnostics)

@@ -83,14 +83,14 @@ class PreimageState:
 
     @cached_property
     def centres(self) -> np.ndarray:
-        """Per-translate centres (sum-of-distances minimiser, lex ties)."""
+        """Per-translate centres (sum-of-distances minimiser, lex ties); in
+        one dimension that is the lower median."""
         out = np.zeros((self.translate_count, self.params.rank), dtype=np.float64)
         for t, pts in enumerate(self._by_translate):
             if len(pts) == 0:
                 continue
             if self.params.rank == 1:
-                lo = int(pts.min())
-                out[t, 0] = lo + (len(pts) - 1) // 2 if _is_run(pts) else _centre_int(pts)[0]
+                out[t, 0] = np.sort(pts[:, 0])[(len(pts) - 1) // 2]
             else:
                 out[t] = _centre_int(pts)
         return out
@@ -120,11 +120,6 @@ class PreimageState:
 
     def complete_translates(self) -> int:
         return int((~self.clipped).sum())
-
-
-def _is_run(pts: np.ndarray) -> bool:
-    v = np.sort(pts[:, 0])
-    return len(v) == 1 or bool(np.all(np.diff(v) == 1))
 
 
 def state_from_points(label, points: np.ndarray, params: ExperimentParams,

@@ -10,8 +10,6 @@ equation."""
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,59 +57,18 @@ def _hider_for(target, params: ExperimentParams) -> Hider:
     return target    # synthetic oracle: already a hider
 
 
-class _LabelCache:
-    """Per-label preimage state and sampler, built once per label.
+def _label(hider: Hider, params: ExperimentParams, key):
+    """Preimage state of one label and a draw of one outcome from it.
 
     Rank one keeps the full cumulative spectrum (few labels, one axis);
     rank two uses the exact two-stage sampler, which needs no dense grid."""
-
-    def __init__(self, hider: Hider, params: ExperimentParams):
-        self.hider = hider
-        self.params = params
-        self._lock = threading.Lock()
-        self._cache: dict = {}
-
-    def get(self, key):
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        points = self.hider.preimage_points(key)
-        state = state_from_points(key, points, self.params, self.hider)
-        if self.params.rank == 1:
-            dist = qft_spectrum(state, self.params)
-            sampler = np.cumsum(dist.probs.reshape(-1))
-        else:
-            sampler = TwoStageSampler(state, self.params)
-        entry = (state, sampler)
-        with self._lock:
-            self._cache.setdefault(key, entry)
-        return self._cache[key]
-
-
-def _trial_outcome(cache: _LabelCache, params: ExperimentParams,
-                   seed: int, index: int, oracle_dual: np.ndarray | None):
-    """One repetition: draw w, collapse to its label's preimage, sample c."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    w = rng.integers(0, params.q, size=params.rank)
-    key = cache.hider.label_key(w)
-    state, sampler = cache.get(key)
-    if state.complete_translates() < _MIN_COMPLETE_TRANSLATES:
-        return {"restart": True}
+    points = hider.preimage_points(key)
+    state = state_from_points(key, points, params, hider)
     if params.rank == 1:
-        c = np.array([draw_index(sampler, rng)], dtype=np.int64)
-    else:
-        c = np.array(sampler.sample(rng, sampler.draw_row(rng)), dtype=np.int64)
-    beta = state.beta()
-    ok = accept(c, params, beta)
-    rec = {"restart": False, "accepted": ok, "beta": beta}
-    if ok:
-        cand = dual_candidate(c, params)
-        rec["candidate"] = cand
-        if oracle_dual is not None:
-            coeff = np.linalg.solve(oracle_dual, cand)
-            err = np.abs(oracle_dual @ (coeff - np.rint(coeff))).max()
-            rec["good"] = bool(err <= 1.0 / (2 * params.qk) + 1e-15)
-    return rec
+        cum = np.cumsum(qft_spectrum(state, params).probs.reshape(-1))
+        return state, lambda rng: (draw_index(cum, rng),)
+    sampler = TwoStageSampler(state, params)
+    return state, lambda rng: sampler.sample(rng, sampler.draw_row(rng))
 
 
 def _reconstruct_unit(d: int, regulator: float, precision: int):
@@ -136,34 +93,44 @@ def run_unit_group(target, params: ExperimentParams, trials: int, seed: int,
 
     `target` is a quadratic field or a synthetic oracle.  `oracle_lattice`
     (the exact scaled lattice) is used for reporting the per-sample success
-    rate only; recovery is driven purely by the samples.  Trials carry
-    per-index derived seeds, so any worker count gives identical output.
+    rate only; recovery is driven purely by the samples.  Trials run
+    serially, each on a seed derived from its index, and each label's
+    preimage and sampler are built once and reused.  `workers` is accepted
+    for older callers and has no effect.
 
     Raises Inconclusive when the candidate stream never stabilises or the
     rank-one unit fails verification."""
     hider = _hider_for(target, params)
-    cache = _LabelCache(hider, params)
     oracle_dual = None
     if oracle_lattice is not None:
         oracle_dual = np.linalg.inv(oracle_lattice.basis).T
 
-    indices = range(trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(
-                lambda i: _trial_outcome(cache, params, seed, i, oracle_dual),
-                indices))
-    else:
-        records = [_trial_outcome(cache, params, seed, i, oracle_dual)
-                   for i in indices]
-
     eta = 1.0 / (2 * params.qk)
     r = params.rank
-    restarts = sum(1 for rec in records if rec["restart"])
-    accepted = [rec["candidate"] for rec in records if rec.get("accepted")]
-    accepted_n = len(accepted)
-    good_n = sum(1 for rec in records if rec.get("good"))
-    betas = [rec["beta"] for rec in records if not rec["restart"]]
+    labels: dict = {}
+    restarts = good_n = 0
+    betas: list[float] = []
+    accepted: list[np.ndarray] = []     # in trial order: the fits read prefixes
+    for i in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        key = hider.label_key(rng.integers(0, params.q, size=r))
+        if key not in labels:
+            labels[key] = _label(hider, params, key)
+        state, draw = labels[key]
+        if state.complete_translates() < _MIN_COMPLETE_TRANSLATES:
+            restarts += 1
+            continue
+        c = np.array(draw(rng), dtype=np.int64)
+        beta = state.beta()
+        betas.append(beta)
+        if not accept(c, params, beta):
+            continue
+        cand = dual_candidate(c, params)
+        accepted.append(cand)
+        if oracle_dual is not None:
+            coeff = np.linalg.solve(oracle_dual, cand)
+            err = np.abs(oracle_dual @ (coeff - np.rint(coeff))).max()
+            good_n += bool(err <= eta + 1e-15)
 
     # Success requires the recovered basis to hold still while candidates
     # keep arriving ("unchanged for 2r consecutive additions"); a short
@@ -194,7 +161,7 @@ def run_unit_group(target, params: ExperimentParams, trials: int, seed: int,
             break
     if stabilised_at is None:
         raise Inconclusive(
-            f"basis never stabilised: {accepted_n} accepted of {trials} trials "
+            f"basis never stabilised: {len(accepted)} accepted of {trials} trials "
             f"({restarts} restarts)")
     try:
         lattice_dual = recover_basis(np.array(accepted), b1=1.0, rank=r,
@@ -207,11 +174,11 @@ def run_unit_group(target, params: ExperimentParams, trials: int, seed: int,
     stats = {
         "trials": trials,
         "restarts": restarts,
-        "accepted": accepted_n,
+        "accepted": len(accepted),
         "stabilised_at": stabilised_at,
         "beta_median": float(np.median(betas)) if betas else None,
         "success_rate": (good_n / trials) if oracle_dual is not None
-                        else (accepted_n / trials),
+                        else (len(accepted) / trials),
         "success_rate_basis": "oracle" if oracle_dual is not None else "accepted",
     }
 

@@ -40,12 +40,12 @@ def test_combine_coprime_examples():
 
 def test_verify_generator_examples(field13, cycle13):
     d2 = float(cycle13.entries[2][1])
-    assert verify_generator(field13, 0.0, ReducedIdeal(3, 1), cycle13)
-    assert verify_generator(field13, d2, ReducedIdeal(1, 3), cycle13)
+    assert verify_generator(0.0, ReducedIdeal(3, 1), cycle13)
+    assert verify_generator(d2, ReducedIdeal(1, 3), cycle13)
     off = d2 + cycle13.regulator_f / 2
-    assert not verify_generator(field13, off, ReducedIdeal(1, 3), cycle13)
+    assert not verify_generator(off, ReducedIdeal(1, 3), cycle13)
     # right ideal, wrong distance
-    assert not verify_generator(field13, d2 + 0.1, ReducedIdeal(1, 3), cycle13)
+    assert not verify_generator(d2 + 0.1, ReducedIdeal(1, 3), cycle13)
 
 
 def test_pair_hider_principal_label_structure(field13, cycle13):
@@ -142,6 +142,22 @@ def test_pair_run_table_row_transforms(c2):
     assert np.abs(z[0] - z[1]).max() <= 1e-14 * scale
 
 
+def test_pair_sampler_beta_matches_preimage_half_width():
+    """The pair sampler's beta is the half-width PreimageState measures on
+    its longest run, also when that run has even length."""
+    f = make_field(13)
+    params = ExperimentParams(rank=2, n_param=16, q=2 ** 6, k=2)
+    sampler = PairSampler(PairHider(f, ReducedIdeal(3, 1), params, 96), (0, 0))
+    row, slot = np.unravel_index(np.argmax(sampler.lengths), sampler.lengths.shape)
+    start, length = sampler.starts[row, slot], sampler.lengths[row, slot]
+    assert length == 16
+    run = np.arange(start, start + length).reshape(-1, 1)
+    params1 = ExperimentParams(rank=1, n_param=16, q=2 ** 6, k=2)
+    state = state_from_points((0,), run, params1, _GridStub(params1))
+    assert state.half_widths.max() == 8
+    assert sampler.beta() * params.n_param == state.half_widths.max()
+
+
 class _GridStub:
     """Minimal hider protocol for grouping arbitrary 2-D point sets."""
 
@@ -149,7 +165,7 @@ class _GridStub:
         self.params = params
 
     def translate_coords(self, points):
-        return np.zeros((len(points), 2), dtype=np.int64)
+        return np.zeros((len(points), self.params.rank), dtype=np.int64)
 
     def translate_clipped(self, coords, label):
         return np.zeros(len(np.atleast_2d(coords)), dtype=bool)

@@ -11,6 +11,7 @@ from regulus import (
     pell_solution,
     reduce_mod,
 )
+from regulus import unitgroup
 from regulus.unitgroup import empirical_success, run_unit_group
 
 
@@ -119,11 +120,25 @@ def test_degenerate_field_is_inconclusive():
         run_unit_group(field, params, trials=200, seed=7)
 
 
-def test_worker_counts_agree():
+def test_worker_counts_agree(monkeypatch):
     field = make_field(13)
     params = ExperimentParams(rank=1, n_param=64, q=2 ** 16, k=3)
-    results = [run_unit_group(field, params, trials=64, seed=11, workers=w)
-               for w in (1, 2, 4)]
+    built = []
+    state_from_points = unitgroup.state_from_points
+
+    def counting(label, *args, **kwargs):
+        built.append(label)
+        return state_from_points(label, *args, **kwargs)
+
+    monkeypatch.setattr(unitgroup, "state_from_points", counting)
+    results, labels = [], []
+    for w in (1, 2, 4):
+        built.clear()
+        results.append(run_unit_group(field, params, trials=64, seed=11, workers=w))
+        # each label's preimage is built once per run
+        assert len(built) == len(set(built))
+        labels.append(set(built))
+    assert labels[0] == labels[1] == labels[2]
     regs = {r.regulator for r in results}
     assert len(regs) == 1
     stats = [r.stats for r in results]
