@@ -193,6 +193,8 @@ def cmd_synth(parser, args) -> int:
     args = _apply_config(args, dict(rank=2, scale=16.0, n=4, bucket=5,
                                     log2q=8, k=0, trials=4096, seed=0,
                                     precision=96))
+    if args.rank not in (1, 2):
+        parser.error(f"--rank: must be 1 or 2, got {args.rank}")
     basis = args.scale * np.eye(args.rank)
     oracle = make_synthetic(basis, args.n, args.bucket, 2 ** args.log2q)
     params = ExperimentParams(rank=args.rank, n_param=args.n, q=2 ** args.log2q,

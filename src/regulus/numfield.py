@@ -42,10 +42,6 @@ class QuadraticField:
         return 4 * self.d
 
     @property
-    def degree(self) -> int:
-        return 2
-
-    @property
     def signature(self) -> tuple[int, int]:
         return (2, 0)
 
@@ -53,10 +49,6 @@ class QuadraticField:
     def rank(self) -> int:
         # Unit rank s + t - 1 for signature (2, 0).
         return 1
-
-    def sqrt_d(self, precision: int = DEFAULT_PRECISION) -> mpf:
-        with mp.workprec(precision + _GUARD_BITS):
-            return mp.sqrt(self.d)
 
     def element(self, a: int, b: int = 0, c: int = 1) -> "FieldElement":
         return FieldElement.make(self.d, a, b, c)
@@ -99,9 +91,6 @@ class FieldElement:
 
     def is_integral(self) -> bool:
         return self.c == 1
-
-    def conjugate(self) -> "FieldElement":
-        return FieldElement(self.d, self.a, -self.b, self.c)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         if self.d != other.d:

@@ -91,10 +91,6 @@ class NonPrincipalCertificate:
     total_reduced: int
     principal_count: int
 
-    @property
-    def class_number_exceeds_one(self) -> bool:
-        return self.total_reduced > self.principal_count
-
 
 def certified_nonprincipal(field: QuadraticField,
                            precision: int = DEFAULT_PRECISION) -> NonPrincipalCertificate:

@@ -7,7 +7,9 @@ the input ideal; its period lattice is generated by (1, N*theta) and
 (0, N*R).  Sampling happens in two exact stages: the second coordinate is
 drawn from the mixture of per-row spectra, then the first coordinate from
 the conditional distribution, which together reproduce the joint outcome law
-of the zero-filled transform without materialising the q^2-point support."""
+of the zero-filled transform without materialising the q^2-point support.
+That support is a `qsim.PreimageState` run table, the form every hider's
+preimage takes, so acceptance and restarts follow the rank-one rules."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .errors import Inconclusive, NotCoprime
 from .ideals import Cycle, ExperimentParams, ReducedIdeal, closest_ideal, cycle_from, principal_cycle
 from .lattice import RealLattice, reduce_mod
 from .numfield import QuadraticField
-from .qsim import _MIN_COMPLETE_TRANSLATES, RowRunSampler, accept, centred
+from .qsim import _MIN_COMPLETE_TRANSLATES, PreimageState, RowRunSampler, accept, centred
 from .unitgroup import UnitGroupResult, run_unit_group
 
 _PEAK_TOL = 24          # max distance (in c units) from the nearest dual row peak
@@ -129,62 +131,43 @@ class PairHider:
         entry = int(cyc.label_indices(np.array([x]))[0])
         return (cls, entry)
 
-    def ideal_of(self, key) -> ReducedIdeal:
-        cls, entry = key
-        return self.cycles[cls].entries[entry][0]
+    def preimage_state(self, key) -> PreimageState:
+        """The label's support as a run table: rows a in the label's class,
+        with one run, and one translate, per integer v-block of each row.
 
-    def label_rows(self, key) -> np.ndarray:
-        """Rows a whose class matches the label's class."""
-        cls, _ = key
-        q = self.params.q
-        if self.order == 1:
-            return np.arange(q, dtype=np.int64)
-        return np.arange(cls % self.order, q, self.order, dtype=np.int64)
-
-    def row_blocks(self, key):
-        """Integer v-intervals of every support row: (rows, starts, ends,
-        clipped), shapes (nrows,), (nrows, nj) x3.  Empty blocks have
-        end < start."""
+        Block j of row a holds the v with a*theta - v/N - j*R in the label's
+        cell; blocks are clipped to [0, q) and kept in order of increasing
+        v."""
         cls, entry = key
         cyc = self.cycles[cls]
         lo, hi = cyc.cell_bounds(entry)
         r = cyc.regulator_f
         n, q = self.params.n_param, self.params.q
-        rows = self.label_rows(key)
+        rows = np.arange(cls % self.order, q, self.order, dtype=np.int64)
         at = rows.astype(np.float64) * self.theta
         j0 = np.floor((at - hi - q / n) / r).astype(np.int64) - 1
         nj = int(math.ceil((q / n + (hi - lo)) / r)) + 3
-        jabs = j0[:, None] + np.arange(nj)[None, :]
-        starts = np.floor(n * (at[:, None] - jabs * r - hi)).astype(np.int64) + 1
-        ends = np.floor(n * (at[:, None] - jabs * r - lo)).astype(np.int64)
+        x = at[:, None] - (j0[:, None] + np.arange(nj - 1, -1, -1)) * r
+        starts = np.floor(n * (x - hi)).astype(np.int64) + 1
+        ends = np.floor(n * (x - lo)).astype(np.int64)
         inside = (ends >= 0) & (starts <= q - 1) & (ends >= starts)
-        clipped = ((starts < 0) | (ends > q - 1)) & inside
-        starts = np.where(inside, np.clip(starts, 0, q - 1), 0)
-        ends = np.where(inside, np.clip(ends, 0, q - 1), -1)
-        return rows, starts, ends, clipped
+        clipped = ((starts < 0) | (ends > q - 1))[inside]
+        starts, ends = np.clip(starts[inside], 0, q - 1), np.clip(ends[inside], 0, q - 1)
+        return PreimageState.from_runs(
+            key, self.params, np.broadcast_to(rows[:, None], inside.shape)[inside],
+            starts, ends - starts + 1, np.arange(len(starts)), clipped)
 
 
 class PairSampler(RowRunSampler):
     """Exact two-stage sampler for one label of the pair hiding function,
-    with one run per translate block of every row in the label's class."""
+    over the run table of `PairHider.preimage_state`.  Its beta and its
+    restart rule are the state's, as at rank one."""
 
     def __init__(self, hider: PairHider, key):
-        self.hider = hider
-        self.key = key
-        rows, s, e, clipped = hider.row_blocks(key)
-        lengths = np.maximum(e - s + 1, 0)
-        super().__init__(hider.params, rows, s, lengths)
-        self.clipped = clipped
-        # a run of length L has its lower median at (L - 1) // 2 from its
-        # start, so its half-width is L // 2, as PreimageState measures it
-        self.max_halfwidth = float(lengths.max() // 2) if self.total else 0.0
+        super().__init__(hider.preimage_state(key))
 
     def beta(self) -> float:
-        return self.max_halfwidth / self.params.n_param
-
-    def complete_blocks_on(self, row_idx: int) -> int:
-        mask = self.lengths[row_idx] > 0
-        return int((mask & ~self.clipped[row_idx]).sum())
+        return self.state.beta()
 
 
 def _fold(theta: float, r: float) -> float:
@@ -221,6 +204,10 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
     Bezout-combine to (1, u), u reduces mod N*R to a candidate position, and
     a classical cycle walk verifies it.  The budget exhausting without a
     verified candidate yields `not_principal`.
+
+    A trial restarts, as in `run_unit_group`, when its label's state has
+    fewer than two complete translates; otherwise it draws a row and an
+    outcome, and the cut uses the state's measured beta.
 
     An Inconclusive unit stage (single-label hiding functions carry no
     period information) switches to a degenerate mode: no index structure is
@@ -267,11 +254,10 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
         if sampler is None:
             sampler = PairSampler(hider, key)
             samplers[key] = sampler
-        row_idx = sampler.draw_row(rng)
-        if sampler.complete_blocks_on(row_idx) < _MIN_COMPLETE_TRANSLATES:
+        if sampler.state.complete_translates() < _MIN_COMPLETE_TRANSLATES:
             restarts += 1
             continue
-        c1, c2 = sampler.sample(rng, row_idx)
+        c1, c2 = sampler.sample(rng, sampler.draw_row(rng))
         if not accept(c2, params, sampler.beta()):
             continue
         accepted += 1

@@ -2,15 +2,18 @@
 
 The quantum subroutine's state after measuring the function register is
 classically determined: it is the uniform superposition over the preimage of
-the observed label.  Only that sparse support is ever stored; applying the
-zero-filled transform to it gives exact outcome probabilities over Z_{qk}^r,
-from which outcomes are drawn, filtered, and mapped to dual-lattice
-candidates.
+the observed label.  Only that sparse support is ever stored, and always in
+one form, `PreimageState`: a run table holding, for each row of the leading
+coordinate, the runs of consecutive points along the last axis, each tagged
+with its lattice translate.  Point-set hiders hand their preimage to
+`state_from_points`; the pair hider of `pip_solver` writes its blocks
+directly.  Applying the zero-filled transform to the runs gives exact
+outcome probabilities over Z_{qk}^r, from which outcomes are drawn,
+filtered, and mapped to dual-lattice candidates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Protocol
@@ -41,77 +44,134 @@ class Hider(Protocol):
     def translate_clipped(self, coords, label) -> np.ndarray: ...
 
 
-def _centre_int(points: np.ndarray) -> np.ndarray:
-    """Set member minimising the summed Euclidean distance; ties (sums
-    within 1e-12 of the minimum) go to the lexicographically first."""
-    pts = np.atleast_2d(points)
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
+def _centre_int(pts: np.ndarray) -> np.ndarray:
+    """Member of a lexicographically sorted point set minimising the summed
+    Euclidean distance; ties (sums within 1e-12 of the minimum) go to the
+    lexicographically first.  Within one row that is the lower median."""
+    if pts[0, 0] == pts[-1, 0]:
+        return pts[(len(pts) - 1) // 2].copy()
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
     return pts[int(np.argmax(dists <= dists.min() + 1e-12))].copy()
 
 
 @dataclass
 class PreimageState:
-    """Sparse support of the post-measurement state, grouped by translate.
+    """Sparse support of the post-measurement state, held as a run table.
 
+    `rows` (R,) are the distinct leading coordinates (a rank-1 support is the
+    single row 0); `starts` and `lengths` (R, m) are each row's runs along
+    the last axis, in order of increasing start and padded with length-0
+    runs; `run_translates` (R, m) is the translate each run belongs to.
     `clipped[t]` marks translates whose ideal block was cut by the domain
-    edge.  Per-translate centres and half-widths are measured lazily from
-    the points."""
+    edge.  Points, centres and half-widths are derived from the runs; the
+    tables are int32, since a pair label holds about 2^15 rows of them."""
 
     label: tuple
-    points: np.ndarray            # (T, r) int64
-    translate_ids: np.ndarray     # (T,) int64
-    clipped: np.ndarray           # (m,) bool
+    rows: np.ndarray              # (R,) int64
+    starts: np.ndarray            # (R, m) int32
+    lengths: np.ndarray           # (R, m) int32
+    run_translates: np.ndarray    # (R, m) int32
+    clipped: np.ndarray           # (translates,) bool
     params: ExperimentParams
+
+    def __post_init__(self):
+        if self.params.rank > 2:
+            raise DomainTooLarge("run tables hold supports of rank <= 2")
+
+    @classmethod
+    def from_runs(cls, label, params: ExperimentParams, run_rows, starts,
+                  lengths, translates, clipped) -> "PreimageState":
+        """State from its nonempty runs listed row by row: `run_rows`
+        nondecreasing, and starts increasing within a row."""
+        first = np.flatnonzero(np.r_[len(run_rows) > 0, run_rows[1:] != run_rows[:-1]])
+        per_row = np.diff(np.r_[first, len(run_rows)])
+        # row-major order of the filled cells is the order of the runs
+        filled = np.arange(per_row.max(initial=0)) < per_row[:, None]
+        tables = np.zeros((3,) + filled.shape, dtype=np.int32)
+        for table, values in zip(tables, (starts, lengths, translates)):
+            table[filled] = values
+        return cls(tuple(np.atleast_1d(label).tolist()), run_rows[first],
+                   *tables, clipped, params)
 
     @property
     def cardinality(self) -> int:
-        return len(self.points)
+        return int(self.lengths.sum())
 
     @property
     def translate_count(self) -> int:
         return len(self.clipped)
 
+    def _live(self, *tables) -> list[np.ndarray]:
+        """Each table's entries at the nonempty runs, in row-major order."""
+        live = self.lengths > 0
+        return [np.broadcast_to(t, live.shape)[live] for t in tables]
+
     @cached_property
-    def _by_translate(self) -> list[np.ndarray]:
-        order = np.argsort(self.translate_ids, kind="stable")
-        pts = self.points[order]
-        ids = self.translate_ids[order]
-        bounds = np.searchsorted(ids, np.arange(self.translate_count + 1))
-        return [pts[bounds[t]:bounds[t + 1]] for t in range(self.translate_count)]
+    def _row_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every support point as (row, last coordinate), in lexicographic
+        order, and its translate id."""
+        rows, starts, lengths, translates = self._live(
+            self.rows[:, None], self.starts, self.lengths, self.run_translates)
+        run = np.repeat(np.arange(len(lengths)), lengths)
+        offset = np.arange(len(run)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return np.c_[rows[run], starts[run] + offset], translates[run]
+
+    @property
+    def points(self) -> np.ndarray:
+        """(T, r) int64 support points."""
+        return self._row_points[0][:, 2 - self.params.rank:]
+
+    @property
+    def translate_ids(self) -> np.ndarray:
+        """(T,) translate id of each point."""
+        return self._row_points[1]
+
+    @cached_property
+    def _split_translates(self) -> list[tuple[int, np.ndarray]]:
+        """(translate, its points) for each translate held in several runs."""
+        if np.count_nonzero(self.lengths) == self.translate_count:
+            return []       # as many runs as translates: one run each
+        translates, = self._live(self.run_translates)
+        split = np.flatnonzero(np.bincount(translates, minlength=self.translate_count) > 1)
+        pts, ids = self._row_points
+        order = np.argsort(ids, kind="stable")
+        bounds = np.searchsorted(ids[order], np.r_[split, split + 1])
+        return [(t, pts[order[lo:hi]])
+                for t, lo, hi in zip(split, bounds[:len(split)], bounds[len(split):])]
 
     @cached_property
     def centres(self) -> np.ndarray:
-        """Per-translate centres (sum-of-distances minimiser, lex ties); in
-        one dimension that is the lower median."""
-        out = np.zeros((self.translate_count, self.params.rank), dtype=np.float64)
-        for t, pts in enumerate(self._by_translate):
-            if len(pts) == 0:
-                continue
-            if self.params.rank == 1:
-                out[t, 0] = np.sort(pts[:, 0])[(len(pts) - 1) // 2]
-            else:
-                out[t] = _centre_int(pts)
-        return out
+        """(translates, r) per-translate centres (sum-of-distances minimiser,
+        lexicographic ties); in one dimension that is the lower median, at
+        start + (L - 1) // 2 for a translate held in one run of length L."""
+        rows, starts, lengths, translates = self._live(
+            self.rows[:, None], self.starts, self.lengths, self.run_translates)
+        out = np.zeros((self.translate_count, 2), dtype=np.float64)
+        out[translates, 0] = rows
+        out[translates, 1] = starts + (lengths - 1) // 2
+        for t, tp in self._split_translates:
+            out[t] = _centre_int(tp)
+        return out[:, 2 - self.params.rank:]
 
-    @cached_property
+    @property
     def half_widths(self) -> np.ndarray:
-        """Per-translate, per-axis max deviation of support from its centre."""
-        out = np.zeros((self.translate_count, self.params.rank), dtype=np.float64)
-        for t, pts in enumerate(self._by_translate):
-            if len(pts):
-                out[t] = np.abs(pts - self.centres[t]).max(axis=0)
-        return out
+        """(translates, r) per-axis max deviation of support from its centre:
+        L // 2 along the last axis for a translate held in one run of length
+        L."""
+        lengths, translates = self._live(self.lengths, self.run_translates)
+        out = np.zeros((2, self.translate_count), dtype=np.float64)
+        out[1, translates] = lengths // 2
+        for t, tp in self._split_translates:
+            out[:, t] = np.abs(tp - _centre_int(tp)).max(axis=0)
+        return out[2 - self.params.rank:].T
 
     @cached_property
     def measured_radius(self) -> float:
-        """Largest unclipped half-width, in grid units."""
-        mask = ~self.clipped
-        if not mask.any():
-            mask = np.ones(self.translate_count, dtype=bool)
-        widths = self.half_widths[mask]
-        return float(widths.max()) if len(widths) else 0.0
+        """Largest unclipped half-width, in grid units; every translate
+        counts when all are clipped."""
+        widths = self.half_widths.T.max(axis=0)
+        unclipped = widths[~self.clipped]
+        return float((unclipped if len(unclipped) else widths).max(initial=0.0))
 
     def beta(self) -> float:
         """Measured support radius in units of the 1/N grid (the scale of the
@@ -119,25 +179,28 @@ class PreimageState:
         return self.measured_radius / self.params.n_param
 
     def complete_translates(self) -> int:
-        return int((~self.clipped).sum())
+        return self.translate_count - int(np.count_nonzero(self.clipped))
 
 
 def state_from_points(label, points: np.ndarray, params: ExperimentParams,
                       hider: Hider) -> PreimageState:
-    """Group a preimage point set by lattice translate."""
+    """Group a preimage point set by lattice translate into a run table;
+    runs split wherever the translate changes."""
     points = np.atleast_2d(np.asarray(points, dtype=np.int64))
     if points.shape[0] and points.shape[1] != params.rank:
         points = points.reshape(-1, params.rank)
     coords = hider.translate_coords(points)
     uniq, ids = np.unique(coords, axis=0, return_inverse=True)
     clipped = hider.translate_clipped(uniq, label)
-    return PreimageState(
-        label=tuple(np.atleast_1d(label).tolist()),
-        points=points,
-        translate_ids=ids.astype(np.int64),
-        clipped=np.asarray(clipped, dtype=bool),
-        params=params,
-    )
+    if params.rank == 1:
+        points = np.c_[np.zeros_like(points), points]
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    pts, ids = points[order], ids.reshape(-1)[order]
+    step = (np.diff(pts[:, 0]) != 0) | (np.diff(pts[:, 1]) != 1) | (np.diff(ids) != 0)
+    first = np.flatnonzero(np.r_[len(pts) > 0, step])
+    return PreimageState.from_runs(label, params, pts[first, 0], pts[first, 1],
+                                   np.diff(np.r_[first, len(pts)]), ids[first],
+                                   np.asarray(clipped, dtype=bool))
 
 
 class CycleHider:
@@ -167,44 +230,25 @@ class CycleHider:
         j = np.rint((v / self.params.n_param - delta) / self._r)
         return j.reshape(-1, 1).astype(np.int64)
 
-    def _block_interval(self, j: int, label_idx: int) -> tuple[int, int]:
-        """Ideal (unclipped) integer endpoints of translate j's block."""
-        lo, hi = self.cycle.cell_bounds(label_idx)
-        n = self.params.n_param
-        a = math.ceil(n * (j * self._r + lo))
-        b = math.ceil(n * (j * self._r + hi)) - 1
-        return a, b
-
     def translate_clipped(self, coords, label) -> np.ndarray:
-        li = int(np.atleast_1d(label)[0])
-        out = []
-        for j in np.atleast_2d(coords)[:, 0]:
-            a, b = self._block_interval(int(j), li)
-            out.append(a < 0 or b > self.params.q - 1)
-        return np.array(out, dtype=bool)
+        """Translates whose ideal block [ceil(N(jR + lo)), ceil(N(jR + hi)) - 1]
+        leaves [0, q)."""
+        lo, hi = self.cycle.cell_bounds(int(np.atleast_1d(label)[0]))
+        n = self.params.n_param
+        j = np.atleast_2d(coords)[:, 0]
+        first = np.ceil(n * (j * self._r + lo))
+        last = np.ceil(n * (j * self._r + hi)) - 1
+        return (first < 0) | (last > self.params.q - 1)
+
+    @cached_property
+    def _grid_labels(self) -> np.ndarray:
+        """Label index of every v in [0, q), from one vectorised pass."""
+        return self.label_of(np.arange(self.params.q).reshape(-1, 1))[:, 0]
 
     def preimage_points(self, label) -> np.ndarray:
-        """All v in [0, q) with the given label, via translated cell blocks
-        filtered through the canonical label map."""
+        """All v in [0, q) with the given label, in increasing order."""
         li = int(np.atleast_1d(label)[0])
-        q, n = self.params.q, self.params.n_param
-        lo, hi = self.cycle.cell_bounds(li)
-        j_lo = math.floor((0 / n - hi) / self._r) - 1
-        j_hi = math.ceil((q / n - lo) / self._r) + 1
-        chunks = []
-        for j in range(j_lo, j_hi + 1):
-            a, b = self._block_interval(j, li)
-            a, b = max(a - 2, 0), min(b + 2, q - 1)
-            if a > b:
-                continue
-            cand = np.arange(a, b + 1, dtype=np.int64)
-            keep = self.label_of(cand.reshape(-1, 1))[:, 0] == li
-            if keep.any():
-                chunks.append(cand[keep])
-        if not chunks:
-            return np.zeros((0, 1), dtype=np.int64)
-        allv = np.unique(np.concatenate(chunks))
-        return allv.reshape(-1, 1)
+        return np.flatnonzero(self._grid_labels == li).reshape(-1, 1)
 
 
 def collapse(f: Hider, params: ExperimentParams,
@@ -243,10 +287,6 @@ class SpectrumDistribution:
     def qk(self) -> int:
         return self.q * self.k
 
-    def prob(self, c) -> float:
-        idx = tuple(int(x) % self.qk for x in np.atleast_1d(c))
-        return float(self.probs[idx])
-
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         pos = draw_index(np.cumsum(self.probs.reshape(-1)), rng)
         return tuple(int(x) for x in np.unravel_index(pos, self.probs.shape))
@@ -268,9 +308,11 @@ def qft_spectrum(state: PreimageState, params: ExperimentParams) -> SpectrumDist
     t = state.cardinality
     if t < 1:
         raise ValueError("empty support")
-    shape = (qk,) * r
-    ind = np.zeros(shape, dtype=np.float64)
-    ind[tuple(state.points.T)] = 1.0
+    ind = np.zeros((qk,) * r, dtype=np.float64)
+    grid = ind.reshape(-1, qk)          # a rank-1 grid is the single row 0
+    for row, ss, ls in zip(state.rows, state.starts, state.lengths):
+        for s, ln in zip(ss, ls):
+            grid[row, s:s + ln] = 1.0
     amp = np.fft.ifftn(ind) * (qk ** r)
     probs = (amp.real ** 2 + amp.imag ** 2) / (qk ** r * t)
     return SpectrumDistribution(probs=probs, q=params.q, k=params.k, rank=r)
@@ -281,21 +323,15 @@ def spectrum_probability(state: PreimageState, params: ExperimentParams,
     """Direct sparse summation of the same probabilities at selected c.
 
     Consecutive support runs are summed in closed form, so the cost is
-    (number of runs) x (distinct second coordinates of c) plus (rows) x
+    (number of runs) x (distinct last coordinates of c) plus (rows) x
     (number of c points), regardless of q^r."""
     qk, r = params.qk, params.rank
-    if r > 2:
-        raise DomainTooLarge("sparse path implemented for rank <= 2")
     cs = np.mod(np.atleast_2d(np.asarray(c_points, dtype=np.int64)), qk)
-    points = state.points
-    if r == 1:
-        # a rank-1 support is the single row 0 of a rank-2 one, read at c1 = 0
-        points = np.c_[np.zeros_like(points), points]
-        cs = np.c_[np.zeros_like(cs), cs]
-    # per-row run sums at each distinct c2, then the row phases e(row*c1)
-    rows, starts, lengths = _row_runs(points)
-    c2s, inv = np.unique(cs[:, 1], return_inverse=True)
-    row_amp = _run_sum(starts, lengths, c2s, qk)
+    # per-row run sums at each distinct last coordinate, then the row phases
+    # e(row*c1); a rank-1 support is the single row 0, whose phase is 1
+    rows = state.rows
+    c2s, inv = np.unique(cs[:, -1], return_inverse=True)
+    row_amp = _run_sum(state.starts, state.lengths, c2s, qk)
     table = _phase_table(qk)
     amp = np.empty(len(cs), dtype=np.complex128)
     chunk = max(1, _BLOCK // len(rows))
@@ -304,23 +340,6 @@ def spectrum_probability(state: PreimageState, params: ExperimentParams,
         phase = table[(rows[:, None] * cs[None, sl, 0]) % qk]
         amp[sl] = (phase * row_amp[:, inv[sl]]).sum(axis=0)
     return (amp.real ** 2 + amp.imag ** 2) / (qk ** r * state.cardinality)
-
-
-def _row_runs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-2 support as a run table: distinct rows (first coordinate) and
-    per-row (start, length) runs along the second, shapes (R,), (R, m) x2,
-    padded with length-0 runs."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    new_run = np.r_[True, (np.diff(pts[:, 0]) != 0) | (np.diff(pts[:, 1]) != 1)]
-    first = np.flatnonzero(new_run)
-    rows, row_of_run, per_row = np.unique(pts[first, 0], return_inverse=True,
-                                          return_counts=True)
-    slot = np.arange(len(first)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    starts = np.zeros((len(rows), int(per_row.max())), dtype=np.int64)
-    lengths = np.zeros_like(starts)
-    starts[row_of_run, slot] = pts[first, 1]
-    lengths[row_of_run, slot] = np.diff(np.r_[first, len(pts)])
-    return rows, starts, lengths
 
 
 @lru_cache(maxsize=4)
@@ -366,9 +385,8 @@ def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class RowRunSampler:
-    """Exact two-stage outcome sampling for a rank-2 support held as a run
-    table: `rows` (R,), and per-row runs `starts`, `lengths` (R, m) along the
-    second axis, padded with length-0 runs.
+    """Exact two-stage outcome sampling from the run table of a rank-2
+    preimage state.
 
     The marginal of the second coordinate is the row-mass mixture of per-row
     spectra; conditioned on it, the first coordinate follows the transform
@@ -376,14 +394,12 @@ class RowRunSampler:
     qft_spectrum exactly without the dense grid.  A draw is `draw_row`, then
     `sample` on that row (c2 from the row's spectrum, then c1)."""
 
-    def __init__(self, params: ExperimentParams, rows: np.ndarray,
-                 starts: np.ndarray, lengths: np.ndarray):
-        if params.rank != 2:
+    def __init__(self, state: PreimageState):
+        if state.params.rank != 2:
             raise ValueError("two-stage sampling is for rank 2")
-        self.params = params
-        self.rows, self.starts, self.lengths = rows, starts, lengths
-        self._cum_rows = np.cumsum(lengths.sum(axis=1))
-        self.total = int(self._cum_rows[-1])
+        self.state, self.params = state, state.params
+        self.rows, self.starts, self.lengths = state.rows, state.starts, state.lengths
+        self._cum_rows = np.cumsum(self.lengths.sum(axis=1))
 
     def draw_row(self, rng: np.random.Generator) -> int:
         return draw_index(self._cum_rows, rng)
@@ -409,10 +425,7 @@ class RowRunSampler:
 
 
 class TwoStageSampler(RowRunSampler):
-    """Two-stage sampler over the points of a rank-2 preimage state."""
-
-    def __init__(self, state: PreimageState, params: ExperimentParams):
-        super().__init__(params, *_row_runs(state.points))
+    """Two-stage sampler over a rank-2 preimage state of a point-set hider."""
 
 
 def centred(c, qk: int) -> np.ndarray:

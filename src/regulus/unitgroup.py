@@ -67,7 +67,7 @@ def _label(hider: Hider, params: ExperimentParams, key):
     if params.rank == 1:
         cum = np.cumsum(qft_spectrum(state, params).probs.reshape(-1))
         return state, lambda rng: (draw_index(cum, rng),)
-    sampler = TwoStageSampler(state, params)
+    sampler = TwoStageSampler(state)
     return state, lambda rng: sampler.sample(rng, sampler.draw_row(rng))
 
 

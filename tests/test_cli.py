@@ -128,3 +128,10 @@ def test_synth_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["det_planted"] == pytest.approx(4096.0)
     assert data["det_rel_error"] <= 1e-3
+
+
+def test_synth_rejects_rank3(capsys):
+    # run tables hold supports of rank 1 or 2 only
+    rc = run_cli(["synth", "--rank", "3", "--trials", "16", "--seed", "0"])
+    assert rc == 2
+    assert "--rank" in capsys.readouterr().err

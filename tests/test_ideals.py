@@ -126,7 +126,7 @@ def test_minima_spacing_bounds():
         gaps = np.diff(deltas)
         assert gaps.max() <= logdisc / 2 + 1e-12
         window = logdisc / 2
-        upper = 4 ** f.degree * logdisc ** f.rank
+        upper = 4 ** 2 * logdisc ** f.rank       # 4^degree, degree 2
         for start in np.linspace(0, cyc.regulator_f, 50):
             count = sum(1 for x in deltas[:-1]
                         if (x - start) % cyc.regulator_f < window)

@@ -26,7 +26,6 @@ def test_make_field_discriminants():
 
 def test_field_invariants():
     f = make_field(13)
-    assert f.degree == 2
     assert f.signature == (2, 0)
     assert f.rank == 1
 

@@ -54,7 +54,7 @@ def test_pair_hider_principal_label_structure(field13, cycle13):
     assert hider.order == 1
     assert hider.theta == pytest.approx(float(cycle13.entries[2][1]), abs=1e-12)
     key = hider.label_key(np.array([0, 0]))
-    assert hider.ideal_of(key) in cycle13.ideals
+    assert _ideal_of(hider, key) in cycle13.ideals
 
 
 def test_pair_hider_label_key_examples(field13, cycle13):
@@ -64,7 +64,7 @@ def test_pair_hider_label_key_examples(field13, cycle13):
     hider = PairHider(field13, ideal, params, 96)
 
     def label(a, v):
-        return hider.ideal_of(hider.label_key(np.array([a, v])))
+        return _ideal_of(hider, hider.label_key(np.array([a, v])))
 
     assert label(0, 0) == ReducedIdeal(3, 1)
     assert label(1, 0) == ideal
@@ -79,7 +79,7 @@ def test_pair_hider_nonprincipal_class_gating():
     for a in range(6):
         key = hider.label_key(np.array([a, 17]))
         assert key[0] == a % 2
-        ideal = hider.ideal_of(key)
+        ideal = _ideal_of(hider, key)
         on_principal = any(i == ideal for i in hider.cycles[0].ideals)
         assert on_principal == (a % 2 == 0)
 
@@ -91,9 +91,7 @@ def test_pair_sampler_matches_dense_small():
     hider = PairHider(f, ReducedIdeal(3, 1), params, 96)
     key = (0, 0)
     sampler = PairSampler(hider, key)
-    # materialise the same support and compare against the dense transform
-    state = state_from_points(key, _pair_points(sampler), params, _GridStub(params))
-    dense = qft_spectrum(state, params).probs
+    dense = qft_spectrum(sampler.state, params).probs
     rng = np.random.default_rng(8)
     n = 40000
     counts = np.zeros_like(dense)
@@ -109,15 +107,6 @@ def test_pair_sampler_matches_dense_small():
         assert abs(counts[c1, c2] / n - p) <= 5 * sigma
 
 
-def _pair_points(sampler):
-    """Every (row, v) point of a pair sampler's run table."""
-    pts = []
-    for ridx, row in enumerate(sampler.rows):
-        for s, ln in zip(sampler.starts[ridx], sampler.lengths[ridx]):
-            pts.extend((row, v) for v in range(s, s + ln))
-    return np.array(pts)
-
-
 @pytest.mark.parametrize("c2", [0, 70001, 55555])
 def test_pair_run_table_row_transforms(c2):
     """Both run-table constructors of one D=13 pair label give the same row
@@ -127,9 +116,8 @@ def test_pair_run_table_row_transforms(c2):
     params = ExperimentParams(rank=2, n_param=16, q=2 ** 6, k=3072)
     hider = PairHider(f, ReducedIdeal(3, 1), params, 96)
     pair = PairSampler(hider, (0, 0))
-    pts = _pair_points(pair)
-    points = TwoStageSampler(
-        state_from_points((0, 0), pts, params, _GridStub(params)), params)
+    pts = pair.state.points
+    points = TwoStageSampler(state_from_points((0, 0), pts, params, _GridStub(params)))
     qk = params.qk
     assert qk == 196608
     ref = np.zeros(qk, dtype=np.complex128)
@@ -156,6 +144,54 @@ def test_pair_sampler_beta_matches_preimage_half_width():
     state = state_from_points((0,), run, params1, _GridStub(params1))
     assert state.half_widths.max() == 8
     assert sampler.beta() * params.n_param == state.half_widths.max()
+
+
+def _ideal_of(hider, key):
+    """The reduced ideal a pair-hider label names."""
+    cls, entry = key
+    return hider.cycles[cls].entries[entry][0]
+
+
+class _PairTranslates:
+    """Translate coordinates of pair-hider points, found from the hider's
+    geometry rather than its run table: block j of row a holds the v with
+    a*theta - v/N - j*R in the label's cell."""
+
+    def __init__(self, hider, key):
+        cyc = hider.cycles[key[0]]
+        self.lo, self.hi = cyc.cell_bounds(key[1])
+        self.delta = float(cyc.entries[key[1]][1])
+        self.r, self.theta = cyc.regulator_f, hider.theta
+        self.n, self.q = hider.params.n_param, hider.params.q
+
+    def translate_coords(self, points):
+        a, v = points[:, 0], points[:, 1]
+        j = np.rint((a * self.theta - v / self.n - self.delta) / self.r)
+        return np.c_[a, -j].astype(np.int64)     # -j grows with v
+
+    def translate_clipped(self, coords, label):
+        x = coords[:, 0] * self.theta + coords[:, 1] * self.r
+        first = np.floor(self.n * (x - self.hi)) + 1
+        last = np.floor(self.n * (x - self.lo))
+        return (first < 0) | (last > self.q - 1)
+
+
+@pytest.mark.parametrize("log2q", [6, 8])
+def test_pair_state_matches_state_from_points(log2q):
+    """The D=13 pair label (0, 0) built from the hider's blocks and built
+    from its expanded points give the same run table and geometry."""
+    params = ExperimentParams(rank=2, n_param=16, q=2 ** log2q, k=2)
+    hider = PairHider(make_field(13), ReducedIdeal(3, 1), params, 96)
+    direct = hider.preimage_state((0, 0))
+    rebuilt = state_from_points((0, 0), direct.points, params,
+                                _PairTranslates(hider, (0, 0)))
+    for name in ("rows", "starts", "lengths", "run_translates", "clipped"):
+        assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
+    assert direct.cardinality == rebuilt.cardinality
+    assert direct.translate_count == rebuilt.translate_count
+    assert direct.beta() == rebuilt.beta()
+    if log2q == 8:
+        assert 0 < direct.complete_translates() < direct.translate_count
 
 
 class _GridStub:

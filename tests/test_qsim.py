@@ -3,6 +3,7 @@ import pytest
 
 from regulus import (
     CycleHider,
+    DomainTooLarge,
     ExperimentParams,
     RestartRequired,
     accept,
@@ -53,11 +54,11 @@ def test_bucket_spectrum_exact_values(bucket):
     oracle, params = bucket
     state = _state_for_label(oracle, params, (0,))
     dist = qft_spectrum(state, params)
-    assert dist.prob([0]) == pytest.approx(0.375, abs=1e-12)
-    assert dist.prob([8]) == pytest.approx(0.2428511319, abs=1e-8)
+    assert dist.probs[0] == pytest.approx(0.375, abs=1e-12)
+    assert dist.probs[8] == pytest.approx(0.2428511319, abs=1e-8)
     for c in range(64):
         if c % 8:
-            assert dist.prob([c]) == pytest.approx(0.0, abs=1e-12)
+            assert dist.probs[c] == pytest.approx(0.0, abs=1e-12)
     assert dist.probs.sum() == pytest.approx(1.0, abs=2.0 ** -30)
 
 
@@ -68,7 +69,7 @@ def test_full_coset_spectrum():
     dist = qft_spectrum(state, params)
     for c in range(64):
         expected = 0.125 if c % 8 == 0 else 0.0
-        assert dist.prob([c]) == pytest.approx(expected, abs=1e-12)
+        assert dist.probs[c] == pytest.approx(expected, abs=1e-12)
 
 
 def test_singleton_support_uniform(params13, cycle13):
@@ -131,7 +132,7 @@ def test_spectrum_sample_statistics(bucket, rng):
         c = dist.sample(rng)
         counts[c] = counts.get(c, 0) + 1
     for c in ((0,), (8,), (16,)):
-        p = dist.prob(c)
+        p = dist.probs[c]
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(counts.get(c, 0) / n - p) <= 4 * sigma + 1e-9
 
@@ -205,7 +206,7 @@ def test_two_stage_sampler_matches_dense_marginals():
     params = ExperimentParams(rank=2, n_param=2, q=32, k=3)
     state = _state_for_label(oracle, params, (0, 0))
     dense = qft_spectrum(state, params).probs
-    ts = TwoStageSampler(state, params)
+    ts = TwoStageSampler(state)
     rng = np.random.default_rng(4)
     n = 60000
     counts = np.zeros_like(dense)
@@ -218,3 +219,10 @@ def test_two_stage_sampler_matches_dense_marginals():
         p = dense[c1, c2]
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(counts[c1, c2] / n - p) <= 5 * sigma
+
+
+def test_rank3_state_is_refused():
+    oracle = make_synthetic(16.0 * np.eye(3), n_param=1, bucket=3, q=64)
+    params = ExperimentParams(rank=3, n_param=1, q=64, k=1)
+    with pytest.raises(DomainTooLarge):
+        _state_for_label(oracle, params, (0, 0, 0))
