@@ -182,6 +182,19 @@ class PreimageState:
         return self.translate_count - int(np.count_nonzero(self.clipped))
 
 
+def _group_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (n, d) integer array in lexicographic order, and
+    the index of each row among them, as a row-wise `np.unique` gives them,
+    through one 1-D sort.  The key is the row-major index of the min-shifted
+    row in its bounding box, which orders rows lexicographically."""
+    if not len(coords):
+        return coords, np.zeros(0, dtype=np.intp)
+    shifted = coords - coords.min(axis=0)
+    key = np.ravel_multi_index(tuple(shifted.T), tuple(shifted.max(axis=0) + 1))
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return coords[first], ids
+
+
 def state_from_points(label, points: np.ndarray, params: ExperimentParams,
                       hider: Hider) -> PreimageState:
     """Group a preimage point set by lattice translate into a run table;
@@ -189,13 +202,12 @@ def state_from_points(label, points: np.ndarray, params: ExperimentParams,
     points = np.atleast_2d(np.asarray(points, dtype=np.int64))
     if points.shape[0] and points.shape[1] != params.rank:
         points = points.reshape(-1, params.rank)
-    coords = hider.translate_coords(points)
-    uniq, ids = np.unique(coords, axis=0, return_inverse=True)
+    uniq, ids = _group_rows(hider.translate_coords(points))
     clipped = hider.translate_clipped(uniq, label)
     if params.rank == 1:
         points = np.c_[np.zeros_like(points), points]
     order = np.lexsort((points[:, 1], points[:, 0]))
-    pts, ids = points[order], ids.reshape(-1)[order]
+    pts, ids = points[order], ids[order]
     step = (np.diff(pts[:, 0]) != 0) | (np.diff(pts[:, 1]) != 1) | (np.diff(ids) != 0)
     first = np.flatnonzero(np.r_[len(pts) > 0, step])
     return PreimageState.from_runs(label, params, pts[first, 0], pts[first, 1],
@@ -301,21 +313,44 @@ class SpectrumDistribution:
 def qft_spectrum(state: PreimageState, params: ExperimentParams) -> SpectrumDistribution:
     """P(c) = |sum_w exp(2*pi*i*(w.c)/(qk))|^2 / ((qk)^r T) for all c.
 
-    Dense zero-padded fast-transform path; domain capped at 2^24 points."""
+    Dense zero-padded path, domain capped at 2^24 points: the support's
+    indicator is real, so one real-input transform gives half of the last
+    axis and P(c) = P(-c mod qk) the rest."""
     qk, r = params.qk, params.rank
     if qk ** r > _DENSE_CAP:
         raise DomainTooLarge(f"(qk)^r = {qk ** r} exceeds dense cap 2^24")
     t = state.cardinality
     if t < 1:
         raise ValueError("empty support")
+    # flat index of every support point, run by run; a rank-1 grid is the
+    # single row 0
+    live = state.lengths > 0
+    first = (state.rows[:, None] * qk + state.starts)[live]
+    ls = state.lengths[live]
     ind = np.zeros((qk,) * r, dtype=np.float64)
-    grid = ind.reshape(-1, qk)          # a rank-1 grid is the single row 0
-    for row, ss, ls in zip(state.rows, state.starts, state.lengths):
-        for s, ln in zip(ss, ls):
-            grid[row, s:s + ln] = 1.0
-    amp = np.fft.ifftn(ind) * (qk ** r)
-    probs = (amp.real ** 2 + amp.imag ** 2) / (qk ** r * t)
-    return SpectrumDistribution(probs=probs, q=params.q, k=params.k, rank=r)
+    ind.reshape(-1)[np.repeat(first - np.cumsum(ls) + ls, ls) + np.arange(t)] = 1.0
+    return SpectrumDistribution(probs=_real_power(ind) / (qk ** r * t),
+                                q=params.q, k=params.k, rank=r)
+
+
+def _real_power(ind: np.ndarray) -> np.ndarray:
+    """|sum_w ind(w) exp(2*pi*i*(w.c)/n)|^2 at every c of a real array of
+    rank 1 or 2 with n points per axis.
+
+    The real-input transform gives the half of the last axis at or below
+    n/2; the rest follows from P(c) = P(-c mod n), since the input is real."""
+    n = ind.shape[-1]
+    half = np.fft.rfftn(ind)
+    h = half.shape[-1]                  # n // 2 + 1
+    out = np.empty(ind.shape, dtype=np.float64)
+    out[..., :h] = half.real ** 2 + half.imag ** 2
+    low = out[..., n - h:0:-1]          # P at -c for the last-axis c in [h, n)
+    if out.ndim == 1:
+        out[h:] = low
+    else:
+        out[0, h:] = low[0]
+        out[1:, h:] = low[:0:-1]
+    return out
 
 
 def spectrum_probability(state: PreimageState, params: ExperimentParams,
@@ -326,6 +361,8 @@ def spectrum_probability(state: PreimageState, params: ExperimentParams,
     (number of runs) x (distinct last coordinates of c) plus (rows) x
     (number of c points), regardless of q^r."""
     qk, r = params.qk, params.rank
+    if state.cardinality < 1:
+        raise ValueError("empty support")
     cs = np.mod(np.atleast_2d(np.asarray(c_points, dtype=np.int64)), qk)
     # per-row run sums at each distinct last coordinate, then the row phases
     # e(row*c1); a rank-1 support is the single row 0, whose phase is 1
@@ -392,7 +429,9 @@ class RowRunSampler:
     spectra; conditioned on it, the first coordinate follows the transform
     of the per-row sums.  Together these reproduce the joint law of
     qft_spectrum exactly without the dense grid.  A draw is `draw_row`, then
-    `sample` on that row (c2 from the row's spectrum, then c1)."""
+    `sample` on that row: c2 from the row's spectrum, a real-input transform
+    of its indicator mirrored as in qft_spectrum, then c1 from the complex
+    transform of the per-row sums at c2."""
 
     def __init__(self, state: PreimageState):
         if state.params.rank != 2:
@@ -406,12 +445,12 @@ class RowRunSampler:
 
     def sample(self, rng: np.random.Generator, row_idx: int) -> tuple[int, int]:
         qk = self.params.qk
-        # stage 1: c2 from the drawn row's own spectrum
+        # stage 1: c2 from the drawn row's own spectrum; a row holds few
+        # runs, so a loop fills it faster than qft_spectrum's vectorised fill
         ind = np.zeros(qk, dtype=np.float64)
         for s, ln in zip(self.starts[row_idx], self.lengths[row_idx]):
             ind[s:s + ln] = 1.0
-        amp = np.fft.ifft(ind) * qk
-        c2 = draw_index(np.cumsum(amp.real ** 2 + amp.imag ** 2), rng)
+        c2 = draw_index(np.cumsum(_real_power(ind)), rng)
         # stage 2: c1 from the transform of the per-row sums at c2
         z = np.zeros(qk, dtype=np.complex128)
         z[self.rows] = self.row_transforms(c2)

@@ -5,16 +5,21 @@ from regulus import (
     CycleHider,
     DomainTooLarge,
     ExperimentParams,
+    ReducedIdeal,
     RestartRequired,
     accept,
     centred,
+    cf_regulator,
     collapse,
     dual_candidate,
+    make_field,
     make_synthetic,
     qft_spectrum,
+    qsim,
     spectrum_probability,
 )
-from regulus.qsim import TwoStageSampler, state_from_points
+from regulus.pip_solver import PairHider, PairSampler, pip_params_for
+from regulus.qsim import PreimageState, TwoStageSampler, state_from_points
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +231,121 @@ def test_rank3_state_is_refused():
     params = ExperimentParams(rank=3, n_param=1, q=64, k=1)
     with pytest.raises(DomainTooLarge):
         _state_for_label(oracle, params, (0, 0, 0))
+
+
+def _complex_power(ind):
+    """|sum_w ind(w) e(w.c)|^2 at every c, from the complex transform."""
+    amp = np.fft.ifftn(ind) * ind.size
+    return amp.real ** 2 + amp.imag ** 2
+
+
+def _dense_indicator(state, params):
+    ind = np.zeros((params.qk,) * params.rank)
+    ind[tuple(state.points.T)] = 1.0
+    return ind
+
+
+def _synth_rank2():
+    """The criterion-3 planted lattice and its parameters (qk = 1536)."""
+    oracle = make_synthetic(16.0 * np.eye(2), n_param=4, bucket=5, q=2 ** 8)
+    return oracle, ExperimentParams(rank=2, n_param=4, q=2 ** 8, k=6)
+
+
+@pytest.mark.parametrize("case", ["cycle13", "synth"])
+def test_mirrored_spectrum_matches_complex_transform(case, cycle13, params13):
+    """The real-input spectrum, mirrored by P(c) = P(-c), equals the direct
+    complex transform at every c within 1e-12 of the peak, and keeps the
+    same outcomes above the 2^-40 dust threshold."""
+    if case == "cycle13":
+        hider, params, label = CycleHider(cycle13, params13), params13, (1,)
+    else:
+        (hider, params), label = _synth_rank2(), (1, 1)
+    state = _state_for_label(hider, params, label)
+    dist = qft_spectrum(state, params)
+    ref = _complex_power(_dense_indicator(state, params)) / (
+        params.qk ** params.rank * state.cardinality)
+    assert np.abs(dist.probs - ref).max() <= 1e-12 * ref.max()
+    # the outcomes nonzero_items keeps
+    assert np.array_equal(dist.probs > 2.0 ** -40, ref > 2.0 ** -40)
+
+
+def test_stage1_row_law_matches_complex_transform(monkeypatch):
+    """The first stage of a D=13 pair-label draw reads the cumulative
+    mirrored spectrum of the drawn row, equal to the complex transform of
+    its indicator at every c2."""
+    params = pip_params_for(float(cf_regulator(13)))
+    hider = PairHider(make_field(13), ReducedIdeal(3, 1), params, 96)
+    sampler = PairSampler(hider, hider.label_key(np.array([5, 7])))
+    row = int(np.argmax(np.count_nonzero(sampler.lengths, axis=1)))
+    cums, draw = [], qsim.draw_index
+
+    def recording_draw(cum, rng):
+        cums.append(cum)
+        return draw(cum, rng)
+
+    monkeypatch.setattr(qsim, "draw_index", recording_draw)
+    sampler.sample(np.random.default_rng(0), row)
+    law = np.diff(cums[0], prepend=0.0)
+    ind = np.zeros(params.qk)
+    for s, ln in zip(sampler.starts[row], sampler.lengths[row]):
+        ind[s:s + ln] = 1.0
+    ref = _complex_power(ind)
+    assert len(law) == params.qk == 196608
+    assert np.abs(law - ref).max() <= 1e-12 * ref.max()
+    assert np.array_equal(law / law.sum() > 2.0 ** -40, ref / ref.sum() > 2.0 ** -40)
+
+
+class _CoordStub:
+    """Point-set hider whose translate coordinates are a given function of
+    the point; it records the translate list `state_from_points` asks
+    about."""
+
+    def __init__(self, coords_of):
+        self.coords_of, self.asked = coords_of, []
+
+    def translate_coords(self, points):
+        return self.coords_of(np.asarray(points))
+
+    def translate_clipped(self, coords, label):
+        self.asked.append(np.array(coords))
+        return np.zeros(len(coords), dtype=bool)
+
+
+def _assert_grouping_matches_unique(hider, points, label, params):
+    """Translate ids and translate order of the state equal those of
+    np.unique over coordinate rows (points given in lexicographic order)."""
+    state = state_from_points(label, points, params, hider)
+    uniq, ids = np.unique(hider.translate_coords(points), axis=0, return_inverse=True)
+    assert np.array_equal(state.points, points)
+    assert np.array_equal(hider.asked[-1], uniq)
+    assert np.array_equal(state.translate_ids, ids.reshape(-1))
+
+
+@pytest.mark.parametrize("coords_of", [
+    lambda p: np.c_[p[:, 0] // 3 - 2, 1 - p[:, 1] // 4],           # mixed sign
+    lambda p: np.c_[-(p[:, 0] // 5) - 7, -(p[:, 1] // 3) - 1],     # negative
+    lambda p: np.c_[p[:, 0] // 3 - 2, np.full(len(p), -4)],        # constant
+    lambda p: np.c_[np.full(len(p), 3), p[:, 1] % 5 - 2],          # constant
+])
+def test_translate_grouping_matches_row_unique(coords_of):
+    params = ExperimentParams(rank=2, n_param=1, q=16, k=1)
+    grid = np.argwhere(np.ones((16, 16), dtype=bool))
+    _assert_grouping_matches_unique(_CoordStub(coords_of), grid, (0, 0), params)
+
+
+def test_translate_grouping_matches_row_unique_cycle13(cycle13, params13):
+    hider = CycleHider(cycle13, params13)
+    recording = _CoordStub(hider.translate_coords)
+    for label in range(len(cycle13)):
+        points = hider.preimage_points((label,))
+        _assert_grouping_matches_unique(recording, points, (label,), params13)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_spectrum_probability_refuses_empty_support(rank):
+    params = ExperimentParams(rank=rank, n_param=1, q=16, k=1)
+    empty = np.zeros(0, dtype=np.int64)
+    state = PreimageState.from_runs((0,) * rank, params, empty, empty, empty,
+                                    empty, np.zeros(0, dtype=bool))
+    with pytest.raises(ValueError, match="empty support"):
+        spectrum_probability(state, params, np.zeros((1, rank), dtype=np.int64))
