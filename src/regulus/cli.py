@@ -1,9 +1,10 @@
 """Command-line experiment harness.
 
 Subcommands: units, pip, spectrum, probe-f, oracle {regulator|cycle|
-nonprincipal}, synth.  All flags are long-form; an optional key=value config
-file supplies defaults that explicit flags override.  Trials run serially,
-and a fixed seed makes every output byte-identical across reruns;
+nonprincipal}, synth.  All flags are long-form, and each default is the
+argparse default of its flag; an optional key=value config file replaces the
+defaults of the same-named flags, which explicit flags override.  Trials run
+serially, and a fixed seed makes every output byte-identical across reruns;
 `units --workers` is still accepted and has no effect."""
 
 from __future__ import annotations
@@ -57,31 +58,29 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill None-valued options from the config file, then hard defaults."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            raw = config.get(key)
-            value = type(fallback)(raw) if raw is not None else fallback
-            setattr(args, key, value)
-    return args
+def _checked_int(ok, what: str):
+    """argparse type: an integer for which `ok` holds.  On a bad value
+    argparse exits 2, naming the flag before this message."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or not ok(int(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_POWER_OF_2 = _checked_int(lambda v: v >= 1 and v & (v - 1) == 0, "a power of 2")
+_POSITIVE = _checked_int(lambda v: v >= 1, "at least 1")
+_K_OR_ZERO = _checked_int(lambda v: v >= 0, "at least 0 (0 picks 3 * rank)")
 
 
 def cmd_units(parser, args) -> int:
-    args = _apply_config(args, dict(n=64, log2q=16, k=3, precision=96,
-                                    trials=200, seed=0, workers=1))
     field = _field_or_error(parser, args.d)
     params = ExperimentParams(rank=1, n_param=args.n, q=2 ** args.log2q,
                               k=args.k, precision=args.precision)
     reg_oracle = float(cf_regulator(args.d, args.precision))
     oracle_lat = RealLattice(np.array([[params.n_param * reg_oracle]]))
-    try:
-        res = run_unit_group(field, params, trials=args.trials, seed=args.seed,
-                             workers=args.workers, oracle_lattice=oracle_lat)
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+    res = run_unit_group(field, params, trials=args.trials, seed=args.seed,
+                         workers=args.workers, oracle_lattice=oracle_lat)
     x, y = res.fundamental_unit
     _write_json(args.out, {
         "d": args.d,
@@ -100,18 +99,13 @@ def cmd_units(parser, args) -> int:
 
 
 def cmd_pip(parser, args) -> int:
-    args = _apply_config(args, dict(trials=48, seed=0, precision=96))
     field = _field_or_error(parser, args.d)
     ideal = ReducedIdeal(args.p, args.q_coeff)
     if not is_reduced(field, ideal):
         parser.error(f"--p/--q-coeff: ({args.p}, {args.q_coeff}) is not a "
                      f"reduced ideal of D={args.d}")
-    inst = PipInstance(field=field, ideal=ideal)
-    try:
-        res = run_pip(inst, trials=args.trials, seed=args.seed)
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+    res = run_pip(PipInstance(field=field, ideal=ideal), trials=args.trials,
+                  seed=args.seed)
     _write_json(args.out, {
         "d": args.d,
         "ideal": {"p": args.p, "q_coeff": args.q_coeff},
@@ -125,7 +119,6 @@ def cmd_pip(parser, args) -> int:
 
 
 def cmd_spectrum(parser, args) -> int:
-    args = _apply_config(args, dict(n=64, log2q=16, k=3, precision=96, seed=0))
     field = _field_or_error(parser, args.d)
     params = ExperimentParams(rank=1, n_param=args.n, q=2 ** args.log2q,
                               k=args.k, precision=args.precision)
@@ -143,7 +136,6 @@ def cmd_spectrum(parser, args) -> int:
 
 
 def cmd_probe_f(parser, args) -> int:
-    args = _apply_config(args, dict(n=64, precision=96))
     field = _field_or_error(parser, args.d)
     cycle = principal_cycle(field, args.precision)
     rows = ["v,p,q_coeff\n"]
@@ -159,7 +151,6 @@ def cmd_probe_f(parser, args) -> int:
 
 
 def cmd_oracle(parser, args) -> int:
-    args = _apply_config(args, dict(precision=96))
     field = _field_or_error(parser, args.d)
     if args.oracle_cmd == "regulator":
         print(f"{float(cf_regulator(args.d, args.precision)):.6f}")
@@ -190,9 +181,6 @@ def cmd_oracle(parser, args) -> int:
 
 
 def cmd_synth(parser, args) -> int:
-    args = _apply_config(args, dict(rank=2, scale=16.0, n=4, bucket=5,
-                                    log2q=8, k=0, trials=4096, seed=0,
-                                    precision=96))
     if args.rank not in (1, 2):
         parser.error(f"--rank: must be 1 or 2, got {args.rank}")
     basis = args.scale * np.eye(args.rank)
@@ -200,12 +188,8 @@ def cmd_synth(parser, args) -> int:
     params = ExperimentParams(rank=args.rank, n_param=args.n, q=2 ** args.log2q,
                               k=args.k, precision=args.precision)
     planted = RealLattice(oracle.effective)
-    try:
-        res = run_unit_group(oracle, params, trials=args.trials, seed=args.seed,
-                             oracle_lattice=planted)
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+    res = run_unit_group(oracle, params, trials=args.trials, seed=args.seed,
+                         oracle_lattice=planted)
     det_rec = res.lattice.det() * args.n ** args.rank   # det of the scaled lattice
     det_planted = planted.det()
     _write_json(args.out, {
@@ -227,25 +211,31 @@ def cmd_synth(parser, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; `config` (key -> text) sets the defaults of same-named
+    flags, which argparse type-checks as it does flag values."""
     parser = argparse.ArgumentParser(
         prog="regulus",
         description="Period-finding experiments on real quadratic orders")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, precision=True, out=None):
+        """The shared flags, added last, then the config over every flag."""
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--precision", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+        if precision:
+            p.add_argument("--precision", type=int, default=96)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=str, default=out)
+        if config:
+            p.set_defaults(**{a.dest: config[a.dest] for a in p._actions if a.dest in config})
 
     p_units = sub.add_parser("units", help="recover the regulator and unit")
     p_units.add_argument("--d", type=int, required=True)
-    p_units.add_argument("--n", type=int, default=None)
-    p_units.add_argument("--log2q", type=int, default=None)
-    p_units.add_argument("--k", type=int, default=None)
-    p_units.add_argument("--trials", type=int, default=None)
-    p_units.add_argument("--workers", type=int, default=None,
+    p_units.add_argument("--n", type=_POWER_OF_2, default=64)
+    p_units.add_argument("--log2q", type=_POSITIVE, default=16)
+    p_units.add_argument("--k", type=_POSITIVE, default=3)
+    p_units.add_argument("--trials", type=int, default=200)
+    p_units.add_argument("--workers", type=int, default=1,
                          help="accepted for older scripts; trials run serially")
     common(p_units)
 
@@ -253,20 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_pip.add_argument("--d", type=int, required=True)
     p_pip.add_argument("--p", type=int, required=True)
     p_pip.add_argument("--q-coeff", type=int, required=True, dest="q_coeff")
-    p_pip.add_argument("--trials", type=int, default=None)
-    common(p_pip)
+    p_pip.add_argument("--trials", type=int, default=48)
+    common(p_pip, precision=False)
 
     p_spec = sub.add_parser("spectrum", help="dump one collapse's exact spectrum")
     p_spec.add_argument("--d", type=int, required=True)
-    p_spec.add_argument("--n", type=int, default=None)
-    p_spec.add_argument("--log2q", type=int, default=None)
-    p_spec.add_argument("--k", type=int, default=None)
-    common(p_spec)
-    p_spec.set_defaults(out="spectrum.csv")
+    p_spec.add_argument("--n", type=_POWER_OF_2, default=64)
+    p_spec.add_argument("--log2q", type=_POSITIVE, default=16)
+    p_spec.add_argument("--k", type=_POSITIVE, default=3)
+    common(p_spec, out="spectrum.csv")
 
     p_probe = sub.add_parser("probe-f", help="tabulate the grid hiding function")
     p_probe.add_argument("--d", type=int, required=True)
-    p_probe.add_argument("--n", type=int, default=None)
+    p_probe.add_argument("--n", type=_POWER_OF_2, default=64)
     p_probe.add_argument("--from", type=int, required=True, dest="start")
     p_probe.add_argument("--to", type=int, required=True, dest="stop")
     common(p_probe)
@@ -279,15 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
         common(po)
 
     p_synth = sub.add_parser("synth", help="planted-lattice recovery experiment")
-    p_synth.add_argument("--rank", type=int, default=None)
-    p_synth.add_argument("--scale", type=float, default=None)
-    p_synth.add_argument("--n", type=int, default=None)
-    p_synth.add_argument("--bucket", type=int, default=None)
-    p_synth.add_argument("--log2q", type=int, default=None)
-    p_synth.add_argument("--k", type=int, default=None)
-    p_synth.add_argument("--trials", type=int, default=None)
+    p_synth.add_argument("--rank", type=int, default=2)
+    p_synth.add_argument("--scale", type=float, default=16.0)
+    p_synth.add_argument("--n", type=_POWER_OF_2, default=4)
+    p_synth.add_argument("--bucket", type=int, default=5)
+    p_synth.add_argument("--log2q", type=_POSITIVE, default=8)
+    p_synth.add_argument("--k", type=_K_OR_ZERO, default=0)
+    p_synth.add_argument("--trials", type=int, default=4096)
     common(p_synth)
-
     return parser
 
 
@@ -304,9 +292,19 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:         # parse again with the file's values as defaults
+        try:
+            config = _load_config(args.config)
+        except OSError as exc:
+            parser.error(f"--config: {exc}")
+        parser = build_parser(config)
+        args = parser.parse_args(argv)
     sub = _DISPATCH[args.command]
     try:
         return sub(parser, args)
+    except Inconclusive as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except RegulusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

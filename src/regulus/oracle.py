@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from .errors import DomainTooLarge, EmptySet, IllConditioned, NotSquarefree
 from .ideals import Cycle, ExperimentParams, ReducedIdeal, cycle_from, is_reduced, start_ideal
 from .numfield import DEFAULT_PRECISION, QuadraticField, _GUARD_BITS, _squarefree
-from .qsim import PreimageState, state_from_points
+from .qsim import Hider, PreimageState, state_from_points
 
 
 def pell_solution(d: int) -> tuple[int, int]:
@@ -126,10 +126,9 @@ class SyntheticOracle:
     `bucket` centred on zero, so `bucket` displacement values share a label
     per axis and the function is many-to-one per translate."""
 
-    def __init__(self, lattice_basis, n_param: int, bucket: int, q: int,
-                 rank: int | None = None):
+    def __init__(self, lattice_basis, n_param: int, bucket: int, q: int):
         basis = np.atleast_2d(np.asarray(lattice_basis, dtype=np.float64))
-        self.rank = rank if rank is not None else basis.shape[0]
+        self.rank = basis.shape[0]
         self.lattice_basis = basis
         self.effective = n_param * basis       # hidden lattice N*Lambda
         self.n_param = n_param
@@ -219,7 +218,7 @@ def make_synthetic(lattice_basis, n_param: int, bucket: int, q: int) -> Syntheti
     return oracle
 
 
-def exhaustive_preimage(f, params: ExperimentParams, label) -> PreimageState:
+def exhaustive_preimage(f: Hider, params: ExperimentParams, label) -> PreimageState:
     """Evaluate the hiding function on every point of Z_q^r (oracle path)."""
     if params.q ** params.rank > 2 ** 20:
         raise DomainTooLarge(f"q^r = {params.q ** params.rank} > 2^20")

@@ -35,14 +35,11 @@ class PipInstance:
     """A principality problem: is `ideal` a principal reduced ideal of the
     order, and at which cycle position?
 
-    params=None sizes the sampling domain from the solver's own regulator
-    estimate after the unit-group stage.  theta_oracle is test-only ground
-    truth (the solver never reads it)."""
+    The solver sizes its sampling domain itself (`pip_params_for`).
+    theta_oracle is test-only ground truth (the solver never reads it)."""
 
     field: QuadraticField
     ideal: ReducedIdeal
-    params: ExperimentParams | None = None   # rank 2: the (a, v) domain
-    unit_params: ExperimentParams | None = None
     theta_oracle: float | None = None
 
 
@@ -83,19 +80,16 @@ def _bezout(c: int, d: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def verify_generator(theta_prime: float, ideal: ReducedIdeal, cycle: Cycle,
-                     tolerance: float | None = None) -> bool:
+def verify_generator(theta_prime: float, ideal: ReducedIdeal, cycle: Cycle) -> bool:
     """Classical check: walking to distance theta' must land on `ideal`, and
-    theta' must sit within tolerance of that entry's exact distance."""
-    if tolerance is None:
-        tolerance = _VERIFY_REL_TOL * max(1.0, cycle.regulator_f)
+    theta' must sit within 1e-3 * max(1, R) of its exact distance mod R."""
     found = closest_ideal(cycle, theta_prime)
     if found != ideal:
         return False
     delta = float(cycle.delta_of(found))
     r = cycle.regulator_f
     err = abs((theta_prime - delta + r / 2) % r - r / 2)
-    return err <= tolerance
+    return err <= _VERIFY_REL_TOL * max(1.0, r)
 
 
 class PairHider:
@@ -107,8 +101,6 @@ class PairHider:
 
     def __init__(self, field: QuadraticField, ideal: ReducedIdeal,
                  params: ExperimentParams, precision: int):
-        self.field = field
-        self.ideal = ideal
         self.params = params
         self.principal = principal_cycle(field, precision)
         if any(i == ideal for i in self.principal.ideals):
@@ -170,11 +162,6 @@ class PairSampler(RowRunSampler):
         return self.state.beta()
 
 
-def _fold(theta: float, r: float) -> float:
-    out = theta % r
-    return out + r if out < 0 else out
-
-
 def _circular_median(ys) -> float:
     """Median on the unit circle: values near 0 and 1 are one cluster, so
     fold around the circular mean before taking the median."""
@@ -185,12 +172,11 @@ def _circular_median(ys) -> float:
     return float((np.median(folded) + mean_ang) % 1.0)
 
 
-def pip_params_for(regulator_estimate: float, q: int = 2 ** 15,
-                   precision: int = 96) -> ExperimentParams:
-    """Sampling domain sized so the scaled lattice spans about 2^10 grid
-    steps, keeping per-row block counts (and the sampler cost) flat."""
+def pip_params_for(regulator_estimate: float) -> ExperimentParams:
+    """The (a, v) domain: q = 2^15, k = 6, and N sized so the scaled lattice
+    spans about 2^10 grid steps, which keeps the sampler's cost flat."""
     n = 2 ** max(4, math.ceil(math.log2(1024.0 / regulator_estimate)))
-    return ExperimentParams(rank=2, n_param=n, q=q, k=6, precision=precision)
+    return ExperimentParams(rank=2, n_param=n, q=2 ** 15, k=6)
 
 
 def run_pip(instance: PipInstance, trials: int, seed: int,
@@ -198,8 +184,10 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
             workers: int = 1) -> PipResult:
     """Decide principality of the instance ideal and locate its generator.
 
-    The unit lattice is recovered first (blind); the pair function is then
-    sampled, outcomes whose second coordinate passes the acceptance cut give
+    The unit lattice is recovered first (blind: N = 64, q = 2^16, k = 3,
+    200 trials) unless `unit_result` supplies it; the pair function is then
+    sampled on the `pip_params_for` domain of the regulator estimate,
+    outcomes whose second coordinate passes the acceptance cut give
     candidate lattice vectors (n, N*R*y), two with coprime first coordinates
     Bezout-combine to (1, u), u reduces mod N*R to a candidate position, and
     a classical cycle walk verifies it.  The budget exhausting without a
@@ -215,27 +203,16 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
 
     Both stages run serially; `workers` is accepted for older callers and
     has no effect."""
-    precision = instance.params.precision if instance.params else 96
-    unit_params = instance.unit_params or ExperimentParams(
-        rank=1, n_param=64, q=2 ** 16, k=3, precision=precision)
-    r_hat = None
-    if unit_result is not None:
-        r_hat = unit_result.regulator
-    else:
+    if unit_result is None:
         try:
-            unit_result = run_unit_group(instance.field, unit_params,
-                                         trials=200, seed=seed ^ 0x5EED)
-            r_hat = unit_result.regulator
+            unit_result = run_unit_group(
+                instance.field, ExperimentParams(rank=1, n_param=64, q=2 ** 16, k=3),
+                trials=200, seed=seed ^ 0x5EED)
         except Inconclusive:
-            r_hat = None
-    params = instance.params
-    if params is None:
-        params = pip_params_for(r_hat if r_hat else 1.0, precision=precision)
-    if params.rank != 2:
-        raise ValueError("pair sampling domain must have rank 2")
+            pass
+    r_hat = unit_result.regulator if unit_result is not None else None
+    params = pip_params_for(r_hat if r_hat else 1.0)
     n = params.n_param
-    scaled = (RealLattice(np.array([[n * r_hat]]), params.precision)
-              if r_hat else None)
 
     hider = PairHider(instance.field, instance.ideal, params, params.precision)
     samplers: dict = {}
@@ -284,8 +261,7 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
         y_med = _circular_median(zero_axis_y)
         y_med = (y_med + 0.5) % 1.0 - 0.5
         candidates.append((1, n * fold_r * y_med))
-    if scaled is None:
-        scaled = RealLattice(np.array([[n * fold_r]]), params.precision)
+    scaled = RealLattice(np.array([[n * fold_r]]), params.precision)
 
     # coprime candidate pairs in order, each Bezout-combined and verified
     pairs = ((ci, cj) for a_i, ci in enumerate(candidates)
@@ -298,7 +274,7 @@ def run_pip(instance: PipInstance, trials: int, seed: int,
         coprime_attempts += 1
         _, u = combine_coprime((ci[0], [ci[1]]), (cj[0], [cj[1]]))
         u_red = reduce_mod(scaled, u)[0]
-        theta_prime = _fold(u_red / n, fold_r)
+        theta_prime = (u_red / n) % fold_r
         if verify_generator(theta_prime, instance.ideal, hider.principal):
             verdict, theta_out = "principal", float(theta_prime)
             break

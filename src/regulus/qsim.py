@@ -31,9 +31,11 @@ _MIN_COMPLETE_TRANSLATES = 2
 
 
 class Hider(Protocol):
-    """The grid hiding function as the pipeline reads it: labels, the
-    preimage of a label, and the lattice translate each preimage point
-    belongs to."""
+    """The grid hiding function as the pipeline reads it: the labels of an
+    (n, r) point array as (n, r) int64, the label key of one point, the
+    preimage of a label, and the lattice translate of each preimage point."""
+
+    def label_of(self, points) -> np.ndarray: ...
 
     def label_key(self, point) -> tuple[int, ...]: ...
 
@@ -283,29 +285,19 @@ def collapse(f: Hider, params: ExperimentParams,
 
 @dataclass
 class SpectrumDistribution:
-    """Exact outcome probabilities of the zero-filled transform over Z_{qk}^r."""
+    """Exact outcome probabilities of the zero-filled transform over Z_{qk}^r;
+    outcomes are drawn with `draw_index` on their cumulative sum."""
 
     probs: np.ndarray          # shape (qk,)*r
-    q: int
-    k: int
-    rank: int
 
     def __post_init__(self):
         total = float(self.probs.sum())
         if abs(total - 1.0) > _NORMALISATION_TOL:
             raise ArithmeticError(f"spectrum not normalised: sum={total!r}")
 
-    @property
-    def qk(self) -> int:
-        return self.q * self.k
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        pos = draw_index(np.cumsum(self.probs.reshape(-1)), rng)
-        return tuple(int(x) for x in np.unravel_index(pos, self.probs.shape))
-
-    def nonzero_items(self, threshold: float = 2.0 ** -40):
-        """(c, probability) pairs with probability above the dust threshold."""
-        idx = np.argwhere(self.probs > threshold)
+    def nonzero_items(self):
+        """(c, probability) pairs with probability above 2^-40 (dust)."""
+        idx = np.argwhere(self.probs > 2.0 ** -40)
         for ix in idx:
             yield tuple(int(x) for x in ix), float(self.probs[tuple(ix)])
 
@@ -329,8 +321,7 @@ def qft_spectrum(state: PreimageState, params: ExperimentParams) -> SpectrumDist
     ls = state.lengths[live]
     ind = np.zeros((qk,) * r, dtype=np.float64)
     ind.reshape(-1)[np.repeat(first - np.cumsum(ls) + ls, ls) + np.arange(t)] = 1.0
-    return SpectrumDistribution(probs=_real_power(ind) / (qk ** r * t),
-                                q=params.q, k=params.k, rank=r)
+    return SpectrumDistribution(probs=_real_power(ind) / (qk ** r * t))
 
 
 def _real_power(ind: np.ndarray) -> np.ndarray:

@@ -208,19 +208,17 @@ def _dual_points_in_box(dual_basis_mat: np.ndarray, bound: float) -> list[np.nda
     return [p for p in pts[keep]]
 
 
-def empirical_success(target, params: ExperimentParams,
-                      oracle_lattice: RealLattice | None = None) -> float:
+def empirical_success(target, params: ExperimentParams) -> float:
     """Exact total probability of kept outcomes that round to the dual of the
-    scaled hidden lattice, averaged over labels with their collapse weights.
+    target's own scaled hidden lattice (N*R, or a synthetic oracle's planted
+    basis), averaged over labels with their collapse weights.
 
     No sampling: the exact probability is evaluated at each candidate dual
     outcome per label.  Domain capped at (qk)^r <= 2^24."""
     if params.qk ** params.rank > _DENSE_CAP:
         raise DomainTooLarge(f"(qk)^r = {params.qk ** params.rank} > 2^24")
     hider = _hider_for(target, params)
-    if oracle_lattice is not None:
-        eff = oracle_lattice.basis
-    elif isinstance(target, QuadraticField):
+    if isinstance(target, QuadraticField):
         cycle = hider.cycle
         eff = np.array([[params.n_param * cycle.regulator_f]])
     else:

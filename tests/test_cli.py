@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from regulus.cli import main
+from regulus.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv):
@@ -56,11 +60,12 @@ def test_units_rejects_nonsquarefree(capsys):
     assert "--d" in err and "squarefree" in err
 
 
-def test_units_inconclusive_exit_code(tmp_path):
+def test_units_inconclusive_exit_code(tmp_path, capsys):
     # a one-entry cycle carries no period information
     rc = run_cli(["units", "--d", "2", "--trials", "40", "--seed", "3",
                   "--out", str(tmp_path / "x.json")])
     assert rc == 3
+    assert capsys.readouterr().err.startswith("inconclusive: ")
 
 
 def test_pip_json_schema(tmp_path):
@@ -135,3 +140,62 @@ def test_synth_rejects_rank3(capsys):
     rc = run_cli(["synth", "--rank", "3", "--trials", "16", "--seed", "0"])
     assert rc == 2
     assert "--rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["units", "--d", "13", "--n", "3"], "--n", "3"),
+    (["units", "--d", "13", "--log2q", "0"], "--log2q", "0"),
+    (["units", "--d", "13", "--k", "0"], "--k", "0"),
+    (["spectrum", "--d", "13", "--k", "0"], "--k", "0"),
+    (["synth", "--n", "3", "--trials", "16"], "--n", "3"),
+], ids=["units-n", "units-log2q", "units-k", "spectrum-k", "synth-n"])
+def test_bad_values_exit_2_naming_flag(argv, flag, value, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and f"got '{value}'" in err
+
+
+def test_bad_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = abc\n")
+    assert run_cli(["units", "--d", "13", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --k: " in err and "got 'abc'" in err
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "none.cfg"
+    assert run_cli(["units", "--d", "13", "--config", str(missing)]) == 2
+    assert "--config: " in capsys.readouterr().err
+
+
+def test_config_reaches_probe_f(tmp_path, capsys):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n = 32\n")
+    probe = ["probe-f", "--d", "13", "--from", "0", "--to", "40"]
+
+    def table(*extra):
+        assert run_cli(probe + list(extra)) == 0
+        return capsys.readouterr().out
+
+    n32, n64 = table("--n", "32"), table("--n", "64")
+    assert n32 != n64
+    assert table("--config", str(cfg)) == n32
+    assert table("--config", str(cfg), "--n", "64") == n64
+
+
+def test_pip_has_no_precision_flag(capsys):
+    rc = run_cli(["pip", "--d", "13", "--p", "1", "--q-coeff", "3",
+                  "--precision", "128"])
+    assert rc == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("regulus ")]
+    assert len(examples) == 8
+    for argv in examples:
+        build_parser().parse_args(argv)
